@@ -1,14 +1,14 @@
 package websyn
 
-// The allocation-budget and differential suites pinning the zero-alloc
-// match hot path (internal/match's scratch arenas, served through
-// MatchServer.DoView) and the mmap snapshot boot. These are the
-// acceptance gates of the arena work: byte-identical responses to the
-// reference engine on every mined corpus, a hard allocs-per-op ceiling
-// per query class, and a bounded cold-boot time for mapped snapshots.
+// The allocation-budget suite pinning the zero-alloc match hot path
+// (internal/match's scratch arenas, served through MatchServer.DoView)
+// and the mmap snapshot boot: a hard allocs-per-op ceiling per query
+// class, a bounded cold-boot time for mapped snapshots, and identical
+// answers from mapped and streamed boots. The differential against the
+// reference engine over every mined corpus lives next to its oracle, in
+// internal/match.
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,55 +67,6 @@ func diffQuerySet(snap *Snapshot) []string {
 	return qs
 }
 
-// TestArenaDifferentialAllSnapshots is the old-vs-arena differential
-// gate over every mined corpus: for each snapshot, each mode and each
-// query, the arena path (DoView over pooled scratch) must produce a
-// response JSON-byte-identical to the reference engine path
-// (Engine.Match), Timing aside. This is what licenses the zero-alloc
-// rewrite to exist at all.
-func TestArenaDifferentialAllSnapshots(t *testing.T) {
-	for name, snap := range allSnapshots(t) {
-		t.Run(name, func(t *testing.T) {
-			s := NewMatchServer(snap, ServeConfig{CacheSize: -1})
-			eng := s.Engine()
-			queries := diffQuerySet(snap)
-			modes := []match.Mode{"", match.ModeSegment, match.ModeSpan, match.ModeFuzzy}
-			checked := 0
-			for _, mode := range modes {
-				for _, explain := range []bool{false, true} {
-					for _, q := range queries {
-						req := match.Request{Query: q, Mode: mode, TopK: 3, Explain: explain}
-						want, errWant := eng.Match(req)
-						var got match.Response
-						errGot := s.DoView(req, func(res *match.Response, _ bool) {
-							got = match.CloneResponse(res)
-						})
-						if (errWant == nil) != (errGot == nil) {
-							t.Fatalf("%s %q explain=%v: error divergence: reference %v, arena %v",
-								mode, q, explain, errWant, errGot)
-						}
-						if errWant != nil {
-							continue
-						}
-						want.Timing, got.Timing = match.Timing{}, match.Timing{}
-						wj, _ := json.Marshal(want)
-						gj, _ := json.Marshal(got)
-						if string(wj) != string(gj) {
-							t.Fatalf("%s %q explain=%v: arena diverged from reference:\n got %s\nwant %s",
-								mode, q, explain, gj, wj)
-						}
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%s %q explain=%v: deep divergence beyond JSON", mode, q, explain)
-						}
-						checked++
-					}
-				}
-			}
-			t.Logf("%s: %d (mode, explain, query) combinations byte-identical", name, checked)
-		})
-	}
-}
-
 // TestEngineAllocBudget is the allocation gate on the steady-state match
 // path: with caching disabled, an exact trie query must perform zero
 // heap allocations end to end, and the typo and span-fuzzy classes must
@@ -131,16 +82,17 @@ func TestEngineAllocBudget(t *testing.T) {
 	classes := []struct {
 		name    string
 		budget  float64
+		mode    match.Mode
 		queries []string
 	}{
 		// Exact trie hits: the dominant production class. Zero.
-		{"exact", 0, []string{
+		{"exact", 0, "", []string{
 			"the dark knight tickets",
 			"quantum of solace showtimes",
 			"madagascar 2 dvd",
 		}},
 		// Per-token typo correction (edit distance 1 against the vocab).
-		{"typo", 2, []string{
+		{"typo", 2, "", []string{
 			"twilght reviews",
 			"quantem of solace",
 			"madagscar 2 trailer",
@@ -149,17 +101,24 @@ func TestEngineAllocBudget(t *testing.T) {
 		// reference path spends ~530 allocs/op here; the arena must stay
 		// at or below 10% of that (ISSUE 6 acceptance), and in practice
 		// at a small constant.
-		{"span-fuzzy", 16, []string{
+		{"span-fuzzy", 16, "", []string{
 			"kingdom of the kristol skull showtimes",
 			"quntum of solacee",
 			"bangkok dangeruos cage movie",
+		}},
+		// Whole-query fuzzy alternating with a query too short for any
+		// trigram: the short lookup must leave the scratch's gram buffer
+		// in place for the next one.
+		{"fuzzy-short", 0, match.ModeFuzzy, []string{
+			"madagascar2",
+			"up",
 		}},
 	}
 	for _, c := range classes {
 		t.Run(c.name, func(t *testing.T) {
 			reqs := make([]match.Request, len(c.queries))
 			for i, q := range c.queries {
-				reqs[i] = match.Request{Query: q}
+				reqs[i] = match.Request{Query: q, Mode: c.mode}
 			}
 			// Warm the scratch pool and every lazily built structure.
 			for _, req := range reqs {

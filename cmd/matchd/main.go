@@ -49,7 +49,7 @@
 //	matchd -dataset movies -write-snapshot dict.snap
 //
 // Serving knobs: [-addr :8080] [-cache 4096] [-cache-shards N]
-// [-batch-workers N] [-max-batch 1024] [-shards N] [-fuzzy-limit 5]
+// [-batch-workers N] [-max-batch 1024] [-fuzzy-limit 5]
 // [-min-sim 0.55] [-drain-timeout 15s] [-mmap] [-pprof]
 //
 // -pprof mounts /debug/pprof/ with mutex and block profiling on, the
@@ -122,7 +122,6 @@ func main() {
 		cacheShards    = flag.Int("cache-shards", 0, "request-cache lock stripes, rounded down to a power of two (0 = one per CPU, min 8 entries per shard)")
 		batchWorkers   = flag.Int("batch-workers", 0, "worker-pool size for batch requests (0 = GOMAXPROCS)")
 		maxBatch       = flag.Int("max-batch", 0, "max queries per batch request (0 = default 1024)")
-		shards         = flag.Int("shards", 0, "fuzzy-index shard count (0 = GOMAXPROCS)")
 		fuzzyLimit     = flag.Int("fuzzy-limit", 5, "max hits returned by /fuzzy")
 		minSim         = flag.Float64("min-sim", 0, "fuzzy similarity threshold override (0 = snapshot's value)")
 		useMmap        = flag.Bool("mmap", false, "memory-map snapshot files: near-instant boot, fuzzy postings served from the page cache (requires -snapshot)")
@@ -146,7 +145,6 @@ func main() {
 		CacheShards:  *cacheShards,
 		BatchWorkers: *batchWorkers,
 		MaxBatch:     *maxBatch,
-		FuzzyShards:  *shards,
 		FuzzyLimit:   *fuzzyLimit,
 		MinSim:       *minSim,
 	}

@@ -11,22 +11,18 @@ import (
 
 // Arena match path.
 //
-// Engine.Match allocates its response — tokens, span strings, match and
-// alternate lists — on every call, which is fine for ad-hoc callers but
-// dominates the serving tier's steady-state cost (BENCH_baseline.json:
-// ~174 allocs for an exact match). This file implements the same
-// matching semantics over a reusable per-request Scratch arena: the
-// normalized query is built once into a byte buffer, every token, span
-// and remainder string is an unsafe view into that buffer (or a stable
-// dictionary string), and all intermediate and result slices are
-// reslices of scratch-owned arrays. A steady-state exact match performs
-// zero heap allocations.
+// This file is the engine's one match implementation. It runs over a
+// reusable per-request Scratch arena: the normalized query is built once
+// into a byte buffer, every token, span and remainder string is an
+// unsafe view into that buffer (or a stable dictionary string), and all
+// intermediate and result slices are reslices of scratch-owned arrays. A
+// steady-state exact match performs zero heap allocations.
 //
-// The arena path is a parallel implementation, not a rewrite:
-// Engine.Match keeps the original allocating code, and the differential
-// suite (arena_test.go) pins the two byte-identical across every domain
-// snapshot. The serving tier pools Scratch per generation and routes
-// through MatchScratch.
+// The serving tier pools Scratch per generation and routes through
+// MatchPrepared; Engine.Match runs the same code on a fresh Scratch and
+// clones the response out. The differential suites (arena_test.go) pin
+// it byte-identical to the original allocating engine, kept as a test
+// oracle in oracle_test.go.
 
 // Scratch is the reusable per-request arena behind Engine.MatchScratch.
 // A Scratch may be reused across requests but never concurrently; the
@@ -137,10 +133,6 @@ func (sc *Scratch) span(i, j int) string {
 //
 //websyn:hotpath
 func (e *Engine) MatchScratch(req Request, sc *Scratch) (*Response, error) {
-	req = req.WithDefaults()
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
 	sc.Tokenize(req.Query)
 	return e.MatchPrepared(req, sc)
 }
@@ -172,7 +164,6 @@ func (e *Engine) MatchPrepared(req Request, sc *Scratch) (*Response, error) {
 
 	resp.Query = sc.qnorm
 	c := matchCtx{e: e, req: req, sc: sc}
-	c.af, _ = e.fuzzy.(arenaFuzzy)
 
 	if req.Mode == ModeFuzzy {
 		t0 := time.Now()
@@ -185,8 +176,8 @@ func (e *Engine) MatchPrepared(req Request, sc *Scratch) (*Response, error) {
 			resp.Remainder = resp.Query
 		}
 		if req.Rewrite && len(sc.matches) == 0 {
-			// Same rule as the reference path: a missed whole-query fuzzy
-			// leaves every token as rewrite fodder.
+			// A missed whole-query fuzzy consumed nothing: every token is
+			// remainder, so all of them are rewrite fodder.
 			sc.used = sc.used[:0]
 			for range sc.tokens {
 				sc.used = append(sc.used, false)
@@ -292,7 +283,6 @@ type matchCtx struct {
 	e   *Engine
 	req Request
 	sc  *Scratch
-	af  arenaFuzzy // nil when e.fuzzy has no arena path (or is nil)
 }
 
 // trace appends an explain step. Callers must guard with c.req.Explain
@@ -301,8 +291,8 @@ func (c *matchCtx) trace(stage, format string, args ...any) {
 	c.sc.trace = append(c.sc.trace, TraceStep{Stage: stage, Detail: fmt.Sprintf(format, args...)})
 }
 
-// doneTrace returns the accumulated trace, nil when empty — matching the
-// reference path, which never materializes an empty trace slice.
+// doneTrace returns the accumulated trace, nil when empty: a response
+// never carries an empty trace slice.
 func (c *matchCtx) doneTrace() []TraceStep {
 	if len(c.sc.trace) == 0 {
 		return nil
@@ -310,37 +300,16 @@ func (c *matchCtx) doneTrace() []TraceStep {
 	return c.sc.trace
 }
 
-// fuzzyLookup consults the trigram index through its arena path when
-// available, falling back to the allocating FuzzyLookup interface for
-// custom indexes. norm must be normalized text (arena spans are).
-//
-//websyn:hotpath
-func (c *matchCtx) fuzzyLookup(norm string, limit int) []arenaHit {
-	if c.af != nil {
-		return c.af.lookupArena(c.sc, norm, limit)
-	}
-	hits := c.e.fuzzy.Lookup(norm, limit)
-	out := c.sc.hits[:0]
-	for _, h := range hits {
-		ah := arenaHit{text: h.Text, sim: h.Similarity}
-		if len(h.Entries) > 0 {
-			ah.best, ah.ok = h.Entries[0], true
-		}
-		out = append(out, ah)
-	}
-	c.sc.hits = out
-	return out
-}
-
-// segment is the arena twin of Dictionary.SegmentTokens fused with
-// Engine.fromTrieMatch: one greedy left-to-right pass, marking consumed
-// tokens and emitting matches with their alternate ranges.
+// segment is trie segmentation fused with match conversion: one greedy
+// left-to-right pass over the shared trie walk (Dictionary.longestFrom),
+// marking consumed tokens and emitting matches with up to TopK-1
+// alternate resolutions of the same span.
 //
 //websyn:hotpath
 func (c *matchCtx) segment() {
 	sc := c.sc
 	for start := 0; start < len(sc.tokens); start++ {
-		node, bestEnd, corrected := c.longestFrom(start)
+		node, bestEnd, corrected := c.e.dict.longestFrom(sc.tokens, start)
 		if bestEnd < 0 {
 			continue
 		}
@@ -351,7 +320,8 @@ func (c *matchCtx) segment() {
 		start = bestEnd - 1
 		best := bestEntryOf(node.entries)
 		// A matched span consumes its tokens even when the match itself is
-		// dropped for resolving outside the entity table (see Engine.match).
+		// dropped for resolving outside the entity table: they are
+		// dictionary mentions, not remainder (and not span-fuzzy fodder).
 		if !c.e.validEntity(best.EntityID) {
 			continue
 		}
@@ -372,7 +342,7 @@ func (c *matchCtx) segment() {
 		altStart := int32(len(sc.alts))
 		// Alternates: the span's other dictionary entries, best first. A
 		// corrected span's surface text is not a dictionary string, so it
-		// has no direct lookup (same rule as fromTrieMatch).
+		// has no direct lookup.
 		if c.req.TopK > 1 && !corrected {
 			for _, alt := range sortedEntries(sc, node.entries) {
 				if int(int32(len(sc.alts))-altStart) >= c.req.TopK-1 {
@@ -397,37 +367,6 @@ func (c *matchCtx) segment() {
 				sm.Span, sm.Start, sm.End, sm.EntityID, sm.Canonical, sm.Score, sm.Source, sm.Method)
 		}
 	}
-}
-
-// longestFrom walks the trie from tokens[start] with typo correction,
-// returning the node of the longest span ending with entries.
-//
-//websyn:hotpath
-func (c *matchCtx) longestFrom(start int) (best *trieNode, bestEnd int, bestCorrected bool) {
-	d := c.e.dict
-	node := d.root
-	bestEnd = -1
-	corrected := false
-	for i := start; i < len(c.sc.tokens); i++ {
-		tok := c.sc.tokens[i]
-		next := node.children[tok]
-		if next == nil {
-			if fixed := d.correctArena(tok); fixed != "" {
-				next = node.children[fixed]
-				if next != nil {
-					corrected = true
-				}
-			}
-		}
-		if next == nil {
-			break
-		}
-		node = next
-		if len(node.entries) > 0 {
-			best, bestEnd, bestCorrected = node, i+1, corrected
-		}
-	}
-	return best, bestEnd, bestCorrected
 }
 
 // bestEntryOf returns the winning entry: highest score, ties to the
@@ -471,14 +410,14 @@ func entryLess(a, b Entry) bool {
 	return a.EntityID < b.EntityID
 }
 
-// wholeFuzzy is the arena twin of Engine.wholeFuzzy (ModeFuzzy).
+// wholeFuzzy is ModeFuzzy: the whole query against the trigram index.
 //
 //websyn:hotpath
 func (c *matchCtx) wholeFuzzy() {
 	sc := c.sc
 	nTokens := len(sc.tokens)
 	emitted := false
-	for _, h := range c.fuzzyLookup(sc.qnorm, c.req.TopK) {
+	for _, h := range c.e.fuzzy.lookupArena(sc, sc.qnorm, c.req.TopK) {
 		if !h.ok || !c.e.validEntity(h.best.EntityID) {
 			continue
 		}
@@ -509,8 +448,13 @@ func (c *matchCtx) wholeFuzzy() {
 	}
 }
 
-// spanPass is the arena twin of Engine.spanPass: resolve leftover token
-// runs through the trigram index with the greedy window sweep.
+// spanPass resolves leftover token runs through the trigram index: for
+// each maximal run of tokens the trie left uncovered, a greedy
+// left-to-right sweep tries every window up to MaxSpanTokens wide and
+// accepts, per position, the window whose best hit has the highest Dice
+// similarity (ties to the wider window). Dice similarity penalizes both
+// under- and over-extension — "kingdom of the cristal skull tickets"
+// scores best on the 5-token window, leaving "tickets" in the remainder.
 //
 //websyn:hotpath
 func (c *matchCtx) spanPass() {
@@ -553,10 +497,20 @@ func (c *matchCtx) spanPass() {
 	}
 }
 
-// bestSpanAt is the arena twin of Engine.bestSpanAt: evaluate every
-// window starting at token i and keep the highest-similarity match
-// (ties to the wider window). Each losing window's alternates are
-// truncated back off the arena; the winner's range rides along.
+// bestSpanAt evaluates every window starting at token i (bounded by
+// runEnd and MaxSpanTokens) and keeps the highest-similarity match (ties
+// to the wider window). Each losing window's alternates are truncated
+// back off the arena; the winner's range rides along. Two guards keep
+// trigram noise out:
+//
+//   - Single-token windows shorter than minSingleSpanLen characters are
+//     skipped — the trie's edit-distance correction already covers
+//     short-token typos.
+//   - A window must contain at least one token outside the dictionary
+//     vocabulary. Span-fuzzy exists to bridge vocabulary gaps
+//     (misspellings, concatenations); a window of purely known tokens
+//     already had its chance at the trie, and any trigram hit on it is a
+//     containment artifact ("showtimes" matching "wall e showtimes").
 //
 //websyn:hotpath
 func (c *matchCtx) bestSpanAt(i, runEnd int) (SpanMatch, [2]int32, bool) {
@@ -584,7 +538,7 @@ func (c *matchCtx) bestSpanAt(i, runEnd int) (SpanMatch, [2]int32, bool) {
 			minSim = singleSpanMinSim
 		}
 		mark := int32(len(sc.alts))
-		hits := c.fuzzyLookup(sc.span(i, i+l), c.req.TopK)
+		hits := c.e.fuzzy.lookupArena(sc, sc.span(i, i+l), c.req.TopK)
 		sm, ok := c.resolveSpanHits(hits, i, i+l, minSim)
 		if !ok {
 			continue
@@ -601,9 +555,10 @@ func (c *matchCtx) bestSpanAt(i, runEnd int) (SpanMatch, [2]int32, bool) {
 	return best, bestR, found
 }
 
-// resolveSpanHits is the arena twin of Engine.resolveSpanHits: first
-// usable hit wins, later hits on distinct entities become alternates
-// (appended to the arena; the caller tracks the range).
+// resolveSpanHits turns a span's fuzzy hits into a match: the first hit
+// with a usable entity wins, later hits on distinct entities become
+// alternates, up to TopK-1 of them (appended to the arena; the caller
+// tracks the range).
 //
 //websyn:hotpath
 func (c *matchCtx) resolveSpanHits(hits []arenaHit, start, end int, minSim float64) (SpanMatch, bool) {
@@ -651,8 +606,9 @@ func (c *matchCtx) resolveSpanHits(hits []arenaHit, start, end int, minSim float
 	return sm, found
 }
 
-// seenEntity is the arena replacement for resolveSpanHits' seen map: the
-// per-span entity list is bounded by TopK, so a linear scan wins.
+// seenEntity reports whether id is among the entities already emitted
+// for one span. The list is bounded by TopK, so a linear scan beats a
+// map.
 //
 //websyn:hotpath
 func seenEntity(seen []int, id int) bool {
@@ -699,11 +655,14 @@ func mergeInto(dst *[]SpanMatch, a, b []SpanMatch) []SpanMatch {
 	return out
 }
 
-// correctArena is Dictionary.correct without the edit-distance DP
-// allocations: the k=1 band degenerates to a two-pointer scan.
+// correct returns the dictionary vocabulary token within edit distance
+// 1 of tok, or "" when none or ambiguous. Only tokens of length >= 4 are
+// corrected: short tokens ("4", "tv") produce too many false friends.
+// The k=1 band needs no DP table: editWithin1 is a two-pointer scan, so
+// correction allocates nothing.
 //
 //websyn:hotpath
-func (d *Dictionary) correctArena(tok string) string {
+func (d *Dictionary) correct(tok string) string {
 	if len(tok) < 4 || d.vocab[tok] {
 		return ""
 	}

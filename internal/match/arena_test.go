@@ -11,10 +11,10 @@ import (
 	"websyn/internal/textnorm"
 )
 
-// The arena engine is a parallel implementation of Engine.Match; these
-// tests pin it byte-identical to the reference path. The repo-root
-// differential suite repeats the comparison over the three full domain
-// snapshots (movies, cameras, software).
+// These tests pin the arena engine byte-identical to the reference
+// engine kept as a test oracle (oracle_test.go). The snapshot
+// differential (snapshots_test.go) repeats the comparison over the three
+// full domain snapshots (movies, cameras, software).
 
 // diffQueries covers every code path the two engines share: exact trie
 // spans, typos, concatenations, span-fuzzy bridges, remainders, empty
@@ -92,14 +92,14 @@ func assertResponsesIdentical(t *testing.T, req Request, ref Response, arena *Re
 	}
 }
 
-// runDifferential drives both paths over every request shape with one
-// shared scratch, so reuse bugs (stale buffers leaking across requests)
-// surface as diffs.
+// runDifferential drives the arena engine and the oracle over every
+// request shape with one shared scratch, so reuse bugs (stale buffers
+// leaking across requests) surface as diffs.
 func runDifferential(t *testing.T, e *Engine) {
 	t.Helper()
 	sc := NewScratch()
 	for _, req := range diffRequests() {
-		ref, refErr := e.Match(req)
+		ref, refErr := e.oracleMatch(req)
 		arena, arenaErr := e.MatchScratch(req, sc)
 		if (refErr == nil) != (arenaErr == nil) {
 			t.Fatalf("request %+v: reference err %v, arena err %v", req, refErr, arenaErr)
@@ -118,11 +118,6 @@ func TestArenaDifferentialFlatIndex(t *testing.T) {
 	runDifferential(t, testEngine())
 }
 
-func TestArenaDifferentialShardedIndex(t *testing.T) {
-	d := engineDict()
-	runDifferential(t, NewEngine(d, d.NewShardedFuzzyIndex(0.55, 4), engineCanonicals(), 0.55))
-}
-
 func TestArenaDifferentialNoFuzzyIndex(t *testing.T) {
 	d := engineDict()
 	runDifferential(t, NewEngine(d, nil, engineCanonicals(), 0.55))
@@ -133,17 +128,7 @@ func TestArenaDifferentialNoEntityTable(t *testing.T) {
 	runDifferential(t, NewEngine(d, d.NewFuzzyIndex(0.55), nil, 0.55))
 }
 
-// stubFuzzy exercises the non-arena FuzzyLookup fallback.
-type stubFuzzy struct{ inner *FuzzyIndex }
-
-func (s stubFuzzy) Lookup(query string, limit int) []FuzzyHit { return s.inner.Lookup(query, limit) }
-
-func TestArenaDifferentialCustomFuzzyLookup(t *testing.T) {
-	d := engineDict()
-	runDifferential(t, NewEngine(d, stubFuzzy{inner: d.NewFuzzyIndex(0.55)}, engineCanonicals(), 0.55))
-}
-
-// TestArenaDifferentialRandom hammers both paths with generated queries
+// TestArenaDifferentialRandom hammers both engines with generated queries
 // mixing dictionary vocabulary, typos, concatenations and noise.
 func TestArenaDifferentialRandom(t *testing.T) {
 	e := testEngine()
@@ -166,7 +151,7 @@ func TestArenaDifferentialRandom(t *testing.T) {
 			Mode:  []Mode{ModeSpan, ModeSegment, ModeFuzzy}[rng.Intn(3)],
 			TopK:  rng.Intn(4),
 		}
-		ref, refErr := e.Match(req)
+		ref, refErr := e.oracleMatch(req)
 		arena, arenaErr := e.MatchScratch(req, sc)
 		if (refErr == nil) != (arenaErr == nil) {
 			t.Fatalf("request %+v: reference err %v, arena err %v", req, refErr, arenaErr)
@@ -205,8 +190,8 @@ func TestScratchTokenizeMatchesTextnorm(t *testing.T) {
 	}
 }
 
-// TestEditWithin1MatchesReference pins the arena's allocation-free
-// distance-1 check to the banded DP it replaces.
+// TestEditWithin1MatchesReference pins the allocation-free distance-1
+// check behind typo correction to the banded DP.
 func TestEditWithin1MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []rune("abcdé日")
@@ -252,8 +237,9 @@ func TestEditWithin1MatchesReference(t *testing.T) {
 	}
 }
 
-// TestQueryGramsIntoMatchesQueryGrams pins the arena gram accumulator to
-// the allocating form, including the map takeover past linearDedupMax.
+// TestQueryGramsIntoMatchesQueryGrams pins buffer reuse in the gram
+// accumulator to a fresh accumulation, including the map takeover past
+// linearDedupMax.
 func TestQueryGramsIntoMatchesQueryGrams(t *testing.T) {
 	long := strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789 ", 4)
 	inputs := []string{
@@ -262,7 +248,7 @@ func TestQueryGramsIntoMatchesQueryGrams(t *testing.T) {
 	}
 	var buf []queryGram
 	for _, in := range inputs {
-		want, wantTotal := queryGrams(in)
+		want, wantTotal := queryGramsInto(nil, in)
 		var got []queryGram
 		var gotTotal int
 		got, gotTotal = queryGramsInto(buf[:0], in)
@@ -317,7 +303,7 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
 			req := Request{Query: q}
-			ref, err := e.Match(req)
+			ref, err := e.oracleMatch(req)
 			if err != nil {
 				t.Fatal(err)
 			}

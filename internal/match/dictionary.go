@@ -175,29 +175,3 @@ func (d *Dictionary) Strings() []string {
 	d.ForEach(func(text string, _ []Entry) { out = append(out, text) })
 	return out
 }
-
-// correct returns the dictionary vocabulary token closest to tok within
-// edit distance 1, or "" when none or ambiguous. Only tokens of length >= 4
-// are corrected: short tokens ("4", "tv") produce too many false friends.
-func (d *Dictionary) correct(tok string) string {
-	if len(tok) < 4 || d.vocab[tok] {
-		return ""
-	}
-	best := ""
-	for v := range d.vocab {
-		if len(v) < 3 {
-			continue
-		}
-		dl := len(v) - len(tok)
-		if dl > 1 || dl < -1 {
-			continue
-		}
-		if textnorm.EditDistanceAtMost(tok, v, 1) {
-			if best != "" && best != v {
-				return "" // ambiguous correction: refuse to guess
-			}
-			best = v
-		}
-	}
-	return best
-}

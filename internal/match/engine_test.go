@@ -1,7 +1,6 @@
 package match
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -281,23 +280,6 @@ func TestEngineDroppedEntityConsumesTokens(t *testing.T) {
 	}
 	if resp.Remainder != "" {
 		t.Fatalf("dropped match leaked its tokens into remainder %q", resp.Remainder)
-	}
-}
-
-func TestEngineMatchTokensAgreesWithMatch(t *testing.T) {
-	e := testEngine()
-	req := Request{Query: "Indy 4 kingdom of the kristol skull", TopK: 3}
-	want, err := e.Match(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.MatchTokens(req, []string{"indy", "4", "kingdom", "of", "the", "kristol", "skull"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Timing, got.Timing = Timing{}, Timing{}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Fatalf("MatchTokens diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

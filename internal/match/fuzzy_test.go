@@ -2,7 +2,9 @@ package match
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -63,10 +65,37 @@ func TestFuzzyLookupLimit(t *testing.T) {
 	}
 }
 
+// TestFuzzyLookupLimitExactCount checks that a limit below the number of
+// qualifying strings returns exactly that many hits, best first.
+func TestFuzzyLookupLimitExactCount(t *testing.T) {
+	hits := episodeDict().NewFuzzyIndex(0.55).Lookup("madagascar episode", 3)
+	if len(hits) != 3 {
+		t.Fatalf("limit ignored: %d hits", len(hits))
+	}
+	for i := 1; i < len(hits); i++ {
+		if hits[i].Similarity > hits[i-1].Similarity {
+			t.Fatalf("hits out of order: %v", hits)
+		}
+	}
+}
+
 func TestFuzzyLookupEmptyQuery(t *testing.T) {
 	fi := demoDict().NewFuzzyIndex(0.6)
 	if hits := fi.Lookup("", 0); hits != nil {
 		t.Fatalf("empty query produced %+v", hits)
+	}
+}
+
+// TestFuzzyIndexSmallDictionaries covers the degenerate index sizes: a
+// single string under the default threshold, and no strings at all.
+func TestFuzzyIndexSmallDictionaries(t *testing.T) {
+	d := NewDictionary()
+	d.Add("solo", Entry{EntityID: 1, Score: 1, Source: "canonical"})
+	if hits := d.NewFuzzyIndex(0).Lookup("solo", 0); len(hits) != 1 || hits[0].Text != "solo" {
+		t.Fatalf("lookup on one-string index: %v", hits)
+	}
+	if hits := NewDictionary().NewFuzzyIndex(0.6).Lookup("anything", 0); hits != nil {
+		t.Fatalf("empty dictionary returned hits: %v", hits)
 	}
 }
 
@@ -96,6 +125,82 @@ func TestBestEntity(t *testing.T) {
 	if _, ok := fi.BestEntity("nothing here"); ok {
 		t.Fatal("irrelevant query resolved")
 	}
+}
+
+// TestBestEntityNearDuplicates resolves entities in a dictionary whose
+// lookups touch long posting lists of near-duplicate strings.
+func TestBestEntityNearDuplicates(t *testing.T) {
+	fi := episodeDict().NewFuzzyIndex(0.55)
+	e, ok := fi.BestEntity("iron man")
+	if !ok || e.EntityID != 501 {
+		t.Fatalf("exact BestEntity = %+v, %v", e, ok)
+	}
+	e, ok = fi.BestEntity("iron mann")
+	if !ok || e.EntityID != 501 {
+		t.Fatalf("fuzzy BestEntity = %+v, %v", e, ok)
+	}
+	if _, ok := fi.BestEntity("qqqqqqq"); ok {
+		t.Fatal("BestEntity matched garbage")
+	}
+}
+
+// episodeDict compiles a dictionary of many near-duplicate strings, so a
+// lookup touches long posting lists.
+func episodeDict() *Dictionary {
+	d := NewDictionary()
+	for i := 0; i < 40; i++ {
+		d.Add(fmt.Sprintf("madagascar episode %d", i), Entry{EntityID: i, Score: 1, Source: "canonical"})
+		d.Add(fmt.Sprintf("kung fu panda %d", i), Entry{EntityID: 100 + i, Score: 1, Source: "canonical"})
+	}
+	d.Add("madagascar escape 2 africa", Entry{EntityID: 500, Score: 1, Source: "canonical"})
+	d.Add("iron man", Entry{EntityID: 501, Score: 1, Source: "canonical"})
+	d.Add("up", Entry{EntityID: 502, Score: 1, Source: "canonical"})
+	return d
+}
+
+// TestFuzzyLookupConcurrent runs Lookup and the engine's MatchScratch
+// against one index from many goroutines; under -race it checks that
+// the index's pooled scan state is never shared between lookups.
+func TestFuzzyLookupConcurrent(t *testing.T) {
+	d := episodeDict()
+	fi := d.NewFuzzyIndex(0.55)
+	e := NewEngine(d, fi, nil, 0.55)
+	wantHits := fi.Lookup("madagascar2", 5)
+	if len(wantHits) == 0 {
+		t.Fatal("fixture broken: no hits for madagascar2")
+	}
+	req := Request{Query: "madagascar episod 7 tickets", TopK: 3}
+	want, err := e.Match(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Timing = Timing{}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := NewScratch()
+			for j := 0; j < 50; j++ {
+				if got := fi.Lookup("madagascar2", 5); !reflect.DeepEqual(got, wantHits) {
+					t.Errorf("concurrent Lookup diverged:\n got %+v\nwant %+v", got, wantHits)
+					return
+				}
+				resp, err := e.MatchScratch(req, sc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := CloneResponse(resp)
+				got.Timing = Timing{}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent MatchScratch diverged:\n got %+v\nwant %+v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestForEachOrderedAndComplete(t *testing.T) {

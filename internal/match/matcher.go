@@ -65,15 +65,24 @@ func (d *Dictionary) SegmentTokens(tokens []string) *Segmentation {
 	used := make([]bool, len(tokens))
 
 	for start := 0; start < len(tokens); start++ {
-		m, ok := d.longestFrom(tokens, start)
-		if !ok {
+		node, end, corrected := d.longestFrom(tokens, start)
+		if end < 0 {
 			continue
 		}
-		seg.Matches = append(seg.Matches, m)
-		for i := m.Start; i < m.End; i++ {
+		best := bestEntryOf(node.entries)
+		seg.Matches = append(seg.Matches, Match{
+			EntityID:  best.EntityID,
+			Text:      strings.Join(tokens[start:end], " "),
+			Start:     start,
+			End:       end,
+			Score:     best.Score,
+			Source:    best.Source,
+			Corrected: corrected,
+		})
+		for i := start; i < end; i++ {
 			used[i] = true
 		}
-		start = m.End - 1
+		start = end - 1
 	}
 
 	var rest []string
@@ -87,15 +96,16 @@ func (d *Dictionary) SegmentTokens(tokens []string) *Segmentation {
 }
 
 // longestFrom walks the trie from tokens[start], applying typo correction
-// on unknown tokens, and returns the longest span that ends at a node with
-// entries.
-func (d *Dictionary) longestFrom(tokens []string, start int) (Match, bool) {
+// on unknown tokens, and returns the node of the longest span that ends
+// with entries, the span's end, and whether any token in it was
+// corrected. bestEnd is -1 when no span starting at start matches. This
+// is the one trie walk: segmentation and the engine both run it.
+//
+//websyn:hotpath
+func (d *Dictionary) longestFrom(tokens []string, start int) (best *trieNode, bestEnd int, bestCorrected bool) {
 	node := d.root
-	bestEnd := -1
-	var bestEntries []Entry
+	bestEnd = -1
 	corrected := false
-	bestCorrected := false
-
 	for i := start; i < len(tokens); i++ {
 		tok := tokens[i]
 		next := node.children[tok]
@@ -112,29 +122,10 @@ func (d *Dictionary) longestFrom(tokens []string, start int) (Match, bool) {
 		}
 		node = next
 		if len(node.entries) > 0 {
-			bestEnd = i + 1
-			bestEntries = node.entries
-			bestCorrected = corrected
+			best, bestEnd, bestCorrected = node, i+1, corrected
 		}
 	}
-	if bestEnd < 0 {
-		return Match{}, false
-	}
-	best := bestEntries[0]
-	for _, e := range bestEntries[1:] {
-		if e.Score > best.Score || (e.Score == best.Score && e.EntityID < best.EntityID) {
-			best = e
-		}
-	}
-	return Match{
-		EntityID:  best.EntityID,
-		Text:      strings.Join(tokens[start:bestEnd], " "),
-		Start:     start,
-		End:       bestEnd,
-		Score:     best.Score,
-		Source:    best.Source,
-		Corrected: bestCorrected,
-	}, true
+	return best, bestEnd, bestCorrected
 }
 
 // MatchQuery is the one-call form: segment and return the best entity

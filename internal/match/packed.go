@@ -30,9 +30,8 @@ type PackedFuzzy struct {
 }
 
 // Mapped reports whether the posting slabs alias a memory-mapped
-// snapshot file. Mapped indexes should be served flat (a single
-// FuzzyIndex sharing the slabs) rather than sharded: sharding deep-copies
-// the postings into anonymous memory and forfeits page-cache sharing.
+// snapshot file; a FuzzyIndex built from it shares the slabs with the
+// page cache.
 func (p *PackedFuzzy) Mapped() bool { return p != nil && p.backing != nil }
 
 // Packed exports the index's posting lists. The returned struct shares
@@ -142,74 +141,4 @@ func (d *Dictionary) NewFuzzyIndexFromPacked(p *PackedFuzzy, minSim float64) (*F
 	fi.gramLen, fi.distinct = deriveTables(strings, p.Postings)
 	fi.initScratch()
 	return fi, nil
-}
-
-// NewShardedFuzzyIndexFromPacked rebuilds a sharded fuzzy index from
-// packed posting lists, splitting the flat slabs with the same
-// round-robin assignment NewShardedFuzzyIndex uses — so lookups are
-// identical whichever constructor built the index. All shards share one
-// read-only gram table; only the postings are partitioned. shards <= 0
-// picks GOMAXPROCS.
-func (d *Dictionary) NewShardedFuzzyIndexFromPacked(p *PackedFuzzy, minSim float64, shards int) (*ShardedFuzzyIndex, error) {
-	if p.NumStrings != d.DistinctStrings() {
-		return nil, fmt.Errorf("match: packed index covers %d strings, dictionary has %d", p.NumStrings, d.DistinctStrings())
-	}
-	all := d.Strings()
-	if err := p.validate(len(all)); err != nil {
-		return nil, err
-	}
-	shards = shardCount(shards, len(all))
-	parts := partitionStrings(all, shards)
-
-	// Shared read-only gram table.
-	gramID := make(map[string]int32, len(p.Grams))
-	for i, g := range p.Grams {
-		gramID[g] = int32(i)
-	}
-
-	// Pass 1: per-shard slab sizes, so each shard allocates exactly once.
-	sizes := make([]int, shards)
-	for _, idx := range p.Postings {
-		sizes[int(idx)%shards]++
-	}
-	minSim = normMinSim(minSim)
-	shardIdx := make([]*FuzzyIndex, shards)
-	for s := 0; s < shards; s++ {
-		fi := &FuzzyIndex{
-			dict:     d,
-			strings:  parts[s],
-			minSim:   minSim,
-			gramID:   gramID,
-			grams:    p.Grams,
-			offsets:  make([]int32, len(p.Grams)+1),
-			postings: make([]int32, 0, sizes[s]),
-			mults:    make([]int32, 0, sizes[s]),
-			// The gram table is shared with p, whose strings may alias a
-			// mapped file even though the postings here are copies.
-			backing: p.backing,
-		}
-		shardIdx[s] = fi
-	}
-
-	// Pass 2: deal each gram's flat posting run out to the shards. The
-	// round-robin assignment means flat string i lives in shard i%shards
-	// at local index i/shards, and ascending i stays ascending locally.
-	for g := 0; g+1 < len(p.Offsets); g++ {
-		for s := 0; s < shards; s++ {
-			shardIdx[s].offsets[g] = int32(len(shardIdx[s].postings))
-		}
-		for k := p.Offsets[g]; k < p.Offsets[g+1]; k++ {
-			i := int(p.Postings[k])
-			fi := shardIdx[i%shards]
-			fi.postings = append(fi.postings, int32(i/shards))
-			fi.mults = append(fi.mults, p.Mults[k])
-		}
-	}
-	for s := 0; s < shards; s++ {
-		fi := shardIdx[s]
-		fi.offsets[len(p.Grams)] = int32(len(fi.postings))
-		fi.gramLen, fi.distinct = deriveTables(fi.strings, fi.postings)
-		fi.initScratch()
-	}
-	return &ShardedFuzzyIndex{dict: d, shards: shardIdx}, nil
 }

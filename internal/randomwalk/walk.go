@@ -144,7 +144,10 @@ func (w *Walker) Walk(input string) []Ranked {
 	for step := 0; step < w.cfg.Steps; step++ {
 		nextQ := make(map[int]float64, len(qDist))
 		nextP := make(map[int]float64, len(pDist))
-		for qn, mass := range qDist {
+		// Spread mass in node order: float addition is not associative,
+		// so map order would make the result vary from run to run.
+		for _, qn := range sortedNodes(qDist) {
+			mass := qDist[qn]
 			nextQ[qn] += s * mass
 			spread := (1 - s) * mass
 			for _, e := range w.graph.PagesOf(qn) {
@@ -160,7 +163,8 @@ func (w *Walker) Walk(input string) []Ranked {
 				nextP[e.To] += spread * float64(e.Count) / total
 			}
 		}
-		for pn, mass := range pDist {
+		for _, pn := range sortedNodes(pDist) {
+			mass := pDist[pn]
 			nextP[pn] += s * mass
 			spread := (1 - s) * mass
 			for _, e := range w.graph.QueriesOf(pn) {
@@ -196,4 +200,14 @@ func (w *Walker) Walk(input string) []Ranked {
 		ranked = ranked[:w.cfg.MaxSynonyms]
 	}
 	return ranked
+}
+
+// sortedNodes returns the nodes of a distribution in ascending order.
+func sortedNodes(dist map[int]float64) []int {
+	nodes := make([]int, 0, len(dist))
+	for n := range dist {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	return nodes
 }

@@ -14,7 +14,7 @@ import (
 
 // Registry is the multi-domain serving tier: one process, many
 // structured verticals. Each registered domain owns a complete Server —
-// its own generation handle (dictionary, packed fuzzy shards, engine,
+// its own generation handle (dictionary, packed fuzzy index, engine,
 // entity table, request cache) and, via internal/serve/reload, its own
 // snapshot watcher — so movies can hot-swap a new dictionary while
 // cameras keeps serving, and a reload failure in one vertical cannot

@@ -35,9 +35,6 @@ type Config struct {
 	// carry (legacy /match/batch and /v1/match alike). 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// FuzzyShards is the number of partitions of the trigram fuzzy
-	// index. 0 means GOMAXPROCS.
-	FuzzyShards int
 	// FuzzyLimit is the number of hits /fuzzy returns. 0 means 5.
 	FuzzyLimit int
 	// MinSim overrides the snapshot's Dice-similarity threshold when
@@ -68,18 +65,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fuzzyIndexer is the trigram-index capability a generation carries:
-// lookup plus the shape stats /statsz reports. Both the sharded index
-// and the flat index (which mmap-backed snapshots serve from zero-copy)
-// satisfy it.
-type fuzzyIndexer interface {
-	match.FuzzyLookup
-	Len() int
-	Shards() int
-}
-
 // generation is everything the server derives from one snapshot: the
-// compiled dictionary, the sharded fuzzy index, the engine over both,
+// compiled dictionary, the trigram fuzzy index, the engine over both,
 // the entity/synonym tables, and the request cache (caches never
 // outlive the dictionary they were computed against). A generation is
 // immutable once installed; hot reload builds a new one off-thread and
@@ -92,7 +79,7 @@ type generation struct {
 	buildDur   time.Duration
 	loadedAt   time.Time
 	dict       *match.Dictionary
-	fuzzy      fuzzyIndexer
+	fuzzy      *match.FuzzyIndex
 	engine     *match.Engine
 	canonicals []string       // entity ID -> canonical string
 	byNorm     map[string]int // canonical norm -> entity ID
@@ -182,7 +169,7 @@ type Server struct {
 }
 
 // NewServer builds the serving state from a snapshot. When the snapshot
-// embeds a packed fuzzy index (format version 2) the shards are rebuilt
+// embeds a packed fuzzy index (format version 2) the index is rebuilt
 // from its posting slabs with pure array work; otherwise — version 1
 // snapshots, or mine-at-startup — the index is constructed from the
 // dictionary here.
@@ -208,7 +195,7 @@ func NewServerWithMeta(snap *Snapshot, cfg Config, meta SnapshotMeta) *Server {
 }
 
 // Prepare builds a complete serving generation from a snapshot — the
-// expensive part of a reload (shard assembly, entity-table indexing) —
+// expensive part of a reload (fuzzy-index assembly, entity-table indexing) —
 // without touching the live state. Install swaps the result in. The
 // returned generation carries meta for /admin/snapshot; a zero
 // meta.Version falls back to the snapshot's own Version field.
@@ -225,32 +212,21 @@ func (s *Server) Prepare(snap *Snapshot, meta SnapshotMeta) (*Generation, error)
 	if cfg.MinSim > 0 {
 		minSim = cfg.MinSim
 	}
-	var fuzzy fuzzyIndexer
+	var fuzzy *match.FuzzyIndex
 	if snap.Fuzzy != nil {
-		if snap.Fuzzy.Mapped() {
-			// An mmap-backed packed index serves through a flat index that
-			// aliases the mapped slabs zero-copy; sharding would deep-copy
-			// every posting into anonymous memory and forfeit page-cache
-			// sharing across processes.
-			fi, err := snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, minSim)
-			if err != nil {
-				log.Printf("serve: rebuilding fuzzy index, mapped one unusable: %v", err)
-			} else {
-				fuzzy = fi
-			}
+		// The index shares the packed slabs; a mapped snapshot's stay in
+		// the page cache, shared across every process serving the file.
+		fi, err := snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, minSim)
+		if err != nil {
+			// A checksummed snapshot should never get here; fall back to
+			// a clean rebuild rather than refusing to serve.
+			log.Printf("serve: rebuilding fuzzy index, embedded one unusable: %v", err)
 		} else {
-			sfi, err := snap.Dict.NewShardedFuzzyIndexFromPacked(snap.Fuzzy, minSim, cfg.FuzzyShards)
-			if err != nil {
-				// A checksummed snapshot should never get here; fall back to
-				// a clean rebuild rather than refusing to serve.
-				log.Printf("serve: rebuilding fuzzy index, embedded one unusable: %v", err)
-			} else {
-				fuzzy = sfi
-			}
+			fuzzy = fi
 		}
 	}
 	if fuzzy == nil {
-		fuzzy = snap.Dict.NewShardedFuzzyIndex(minSim, cfg.FuzzyShards)
+		fuzzy = snap.Dict.NewFuzzyIndex(minSim)
 	}
 	engine := match.NewEngine(snap.Dict, fuzzy, snap.Canonicals, minSim)
 	if snap.Vocab != nil {
@@ -820,7 +796,6 @@ type Stats struct {
 		Entries      int `json:"entries"`
 		Entities     int `json:"entities"`
 		FuzzyStrings int `json:"fuzzy_strings"`
-		FuzzyShards  int `json:"fuzzy_shards"`
 	} `json:"dictionary"`
 	Cache    CacheStats `json:"cache"`
 	Requests struct {
@@ -864,7 +839,6 @@ func (s *Server) Stats() Stats {
 	st.Dictionary.Entries = g.dict.Len()
 	st.Dictionary.Entities = len(g.canonicals)
 	st.Dictionary.FuzzyStrings = g.fuzzy.Len()
-	st.Dictionary.FuzzyShards = g.fuzzy.Shards()
 	st.Cache = g.cache.Stats()
 	st.Cache.SingleflightHits = g.flight.hits.Load()
 	st.Cache.SingleflightShared = g.flight.shared.Load()
@@ -904,7 +878,7 @@ type SnapshotInfo struct {
 	// layout version); zero-valued for in-process mined state.
 	Snapshot SnapshotMeta `json:"snapshot"`
 	// BuildMillis is how long Prepare took to assemble this generation
-	// (shard assembly, entity indexing) before it was swapped in.
+	// (fuzzy-index assembly, entity indexing) before it was swapped in.
 	BuildMillis float64 `json:"build_ms"`
 	// LoadedAt is when the generation was installed.
 	LoadedAt    time.Time `json:"loaded_at"`

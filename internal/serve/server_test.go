@@ -283,7 +283,7 @@ func TestHTTPStatsz(t *testing.T) {
 	if st.Latency.Match.Count != 3 || st.Latency.Match.MeanMicros <= 0 {
 		t.Errorf("match latency: %+v", st.Latency.Match)
 	}
-	if st.Dictionary.Entries == 0 || st.Dictionary.FuzzyShards == 0 {
+	if st.Dictionary.Entries == 0 || st.Dictionary.FuzzyStrings == 0 {
 		t.Errorf("dictionary stats: %+v", st.Dictionary)
 	}
 }

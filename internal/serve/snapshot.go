@@ -10,7 +10,7 @@
 //     tier needs (compiled dictionary, entity table, synonym map), so a
 //     server starts in milliseconds instead of re-running the miner.
 //   - Server: HTTP handlers for single-query match, batched match with a
-//     bounded worker pool, whole-string fuzzy lookup (sharded), synonym
+//     bounded worker pool, whole-string fuzzy lookup, synonym
 //     listing, and a /statsz observability endpoint.
 //   - An LRU request cache keyed on the normalized query, with hit/miss
 //     counters.

@@ -247,7 +247,7 @@ func oldMatchResult(snap *Snapshot, query string, cached bool) MatchResult {
 }
 
 // oldFuzzyResult replicates the pre-engine GET /fuzzy logic from a flat
-// trigram index (identical results to the server's sharded one).
+// trigram index, built apart from the one the server boots.
 func oldFuzzyResult(snap *Snapshot, fi *match.FuzzyIndex, query string, limit int) FuzzyResult {
 	res := FuzzyResult{Query: query}
 	for _, h := range fi.Lookup(query, limit) {
