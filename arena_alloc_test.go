@@ -106,6 +106,13 @@ func TestEngineAllocBudget(t *testing.T) {
 			"quntum of solacee",
 			"bangkok dangeruos cage movie",
 		}},
+		// Entity queries with an out-of-vocabulary location context:
+		// every unknown token probes the typo corrector's buckets.
+		{"context", 0, "", []string{
+			"the dark knight near boston",
+			"twilght around seattle",
+			"madagscar 2 from chicago",
+		}},
 		// Whole-query fuzzy alternating with a query too short for any
 		// trigram: the short lookup must leave the scratch's gram buffer
 		// in place for the next one.

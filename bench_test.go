@@ -400,9 +400,12 @@ func BenchmarkServeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMatch times the unified engine across its three query
-// classes: exact trie hits, per-token typo correction, and span-level
-// fuzzy resolution through the trigram index (the expensive new path).
+// BenchmarkEngineMatch times the unified engine across its query
+// classes: exact trie hits, per-token typo correction, span-level fuzzy
+// resolution through the trigram index (the expensive path), and
+// entity queries carrying an out-of-vocabulary location context — the
+// shape of a query-log tail, where every unknown token of 4+ bytes
+// costs a typo-correction probe at each trie-walk start.
 // It drives Server.DoView — the cache-disabled zero-copy API over the
 // pooled scratch arenas — so the gated number covers request validation,
 // tokenization and the full arena hot path; the alloc column is the
@@ -429,6 +432,11 @@ func BenchmarkEngineMatch(b *testing.B) {
 			"kingdom of the kristol skull showtimes",
 			"quntum of solacee",
 			"bangkok dangeruos cage movie",
+		}},
+		{"context", []string{
+			"the dark knight near boston",
+			"twilght around seattle",
+			"madagscar 2 from chicago",
 		}},
 	}
 	for _, c := range classes {

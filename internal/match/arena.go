@@ -658,7 +658,16 @@ func mergeInto(dst *[]SpanMatch, a, b []SpanMatch) []SpanMatch {
 // correct returns the dictionary vocabulary token within edit distance
 // 1 of tok, or "" when none or ambiguous. Only tokens of length >= 4 are
 // corrected: short tokens ("4", "tv") produce too many false friends.
-// The k=1 band needs no DP table: editWithin1 is a two-pointer scan, so
+// Candidates differ from tok by at most one byte of length.
+//
+// Candidates come from the dictionary's typoIndex, not a vocabulary
+// scan. One rune edit of a token of two or more runes keeps its first
+// rune or its last, so every word within distance 1 shares tok's first
+// or last byte: it sits in a bucket for byte length len(tok)-1 …
+// len(tok)+1 keyed by one of them. The one exception is a token that is
+// a single 4-byte rune, whose substitutions are single runes of their
+// own; those come from the index's single-rune list. A word found twice
+// is harmless (best == v). editWithin1 is a two-pointer scan, so
 // correction allocates nothing.
 //
 //websyn:hotpath
@@ -666,20 +675,28 @@ func (d *Dictionary) correct(tok string) string {
 	if len(tok) < 4 || d.vocab[tok] {
 		return ""
 	}
+	x := &d.typo
 	best := ""
-	for v := range d.vocab {
-		if len(v) < 3 {
-			continue
-		}
-		dl := len(v) - len(tok)
-		if dl > 1 || dl < -1 {
-			continue
-		}
-		if editWithin1(tok, v) {
-			if best != "" && best != v {
-				return "" // ambiguous correction: refuse to guess
+	for n := len(tok) - 1; n <= len(tok)+1; n++ {
+		for side, b := range [2]byte{tok[0], tok[len(tok)-1]} {
+			for l := x.heads[typoKey(n, side, b)]; l != 0; l = x.next[2*int(l-1)+side] {
+				if v := x.words[l-1]; editWithin1(tok, v) {
+					if best != "" && best != v {
+						return "" // ambiguous correction: refuse to guess
+					}
+					best = v
+				}
 			}
-			best = v
+		}
+	}
+	if _, size := utf8.DecodeRuneInString(tok); size == len(tok) {
+		for _, v := range x.runes {
+			if editWithin1(tok, v) {
+				if best != "" && best != v {
+					return ""
+				}
+				best = v
+			}
 		}
 	}
 	return best

@@ -20,6 +20,7 @@ package match
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"websyn/internal/textnorm"
 )
@@ -51,11 +52,56 @@ type Dictionary struct {
 	size    int             // (string, entity) pairs
 	strings int             // distinct strings
 	vocab   map[string]bool // every token appearing in any dictionary string
+	typo    typoIndex       // correct's candidate buckets over vocab
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{root: newTrieNode(), vocab: make(map[string]bool)}
+	return &Dictionary{
+		root:  newTrieNode(),
+		vocab: make(map[string]bool),
+		typo:  typoIndex{heads: make(map[uint64]int32)},
+	}
+}
+
+// typoIndex buckets the vocabulary tokens of 3+ bytes — the only ones
+// correct can return — so a correction reads a few dozen candidates
+// instead of the whole vocabulary. Every token sits in two buckets, one
+// keyed by (byte length, first byte), one by (byte length, last byte).
+// A bucket is a chain: heads maps the bucket key to its most recently
+// added word, and next[2*i+side] links word i to the word added before
+// it in the same bucket. Links are word index + 1, so 0 ends a chain.
+// Single-rune tokens are also listed in runes: a substitution that
+// replaces the only rune of a token keeps neither end byte. Add
+// maintains the index, so it never needs a rebuild.
+type typoIndex struct {
+	words []string
+	next  []int32
+	heads map[uint64]int32
+	runes []string
+}
+
+// typoKey is the bucket of the tokens of byte length n whose first
+// (side 0) or last (side 1) byte is b.
+func typoKey(n, side int, b byte) uint64 {
+	return uint64(n)<<9 | uint64(side)<<8 | uint64(b)
+}
+
+// add indexes a vocabulary token new to the dictionary.
+func (x *typoIndex) add(tok string) {
+	if len(tok) < 3 {
+		return
+	}
+	link := int32(len(x.words)) + 1
+	x.words = append(x.words, tok)
+	for side, b := range [2]byte{tok[0], tok[len(tok)-1]} {
+		k := typoKey(len(tok), side, b)
+		x.next = append(x.next, x.heads[k])
+		x.heads[k] = link
+	}
+	if _, size := utf8.DecodeRuneInString(tok); size == len(tok) {
+		x.runes = append(x.runes, tok)
+	}
 }
 
 // Add inserts one string with its payload. The string is normalized; empty
@@ -68,7 +114,10 @@ func (d *Dictionary) Add(text string, e Entry) {
 	}
 	node := d.root
 	for _, tok := range tokens {
-		d.vocab[tok] = true
+		if !d.vocab[tok] {
+			d.vocab[tok] = true
+			d.typo.add(tok)
+		}
 		next := node.children[tok]
 		if next == nil {
 			next = newTrieNode()
