@@ -80,7 +80,7 @@ func v2TestServer(t *testing.T, sim *Simulation) *httptest.Server {
 	if snap.Vocab == nil {
 		t.Fatal("BuildSnapshot produced no attribute vocabulary")
 	}
-	ts := httptest.NewServer(NewMatchServer(snap, ServeConfig{}).Handler())
+	ts := httptest.NewServer(soloRegistry(t, snap, ServeConfig{}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -10,7 +10,11 @@ package websyn
 // both times the pipeline and reprints the paper's evaluation.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"websyn/internal/eval"
@@ -378,20 +382,35 @@ func BenchmarkRegistryFederateParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeBatch contrasts sequential and pooled batch matching:
-// the /match/batch worker pool's throughput win on a 256-query request.
-// The cache is disabled so the benchmark measures segmentation
-// throughput, not cache hits.
+// BenchmarkServeBatch contrasts sequential and pooled batch matching: a
+// 256-query POST /v1/match batch through the registry's HTTP handler
+// (JSON decode, the batch worker pool, the engine in its default mode,
+// JSON encode), served in-process through an httptest.ResponseRecorder.
+// The cache is disabled so every item runs the engine.
 func BenchmarkServeBatch(b *testing.B) {
 	snap := movieSnapshot(b)
 	queries := serveQueries(b, 256)
+	items := make([]MatchRequest, len(queries))
+	for i, q := range queries {
+		items[i] = MatchRequest{Query: q}
+	}
+	body, err := json.Marshal(struct {
+		Queries []MatchRequest `json:"queries"`
+	}{items})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			s := NewMatchServer(snap, ServeConfig{CacheSize: -1, BatchWorkers: workers})
+			h := soloRegistry(b, snap, ServeConfig{CacheSize: -1, BatchWorkers: workers}).Handler()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.MatchBatch(queries)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %.200s", rec.Code, rec.Body)
+				}
 			}
 			b.StopTimer()
 			qps := float64(b.N) * float64(len(queries)) / b.Elapsed().Seconds()

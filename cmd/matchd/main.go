@@ -5,16 +5,18 @@
 // Endpoints:
 //
 //	POST /v1/match          — unified match API: single + batch, span-level
-//	                          fuzzy matching, explain traces, and (multi-
-//	                          domain mode) domain routing and federated
-//	                          fan-out (docs/API.md)
+//	                          fuzzy matching, explain traces, domain
+//	                          routing and federated fan-out (docs/API.md)
+//	POST /v2/match          — v1 plus typed attribute predicates + residual
 //	GET  /match?q=<query>   — legacy: segment the query against the dictionary
 //	POST /match/batch       — legacy: segment many queries in one request
 //	GET  /fuzzy?q=<query>   — legacy: whole-string fuzzy lookup
 //	GET  /synonyms?u=<name> — list the mined synonyms of a canonical string
-//	GET  /statsz            — cache, dictionary and latency stats
+//	GET  /statsz            — registry counters + per-domain cache,
+//	                          dictionary and latency stats
 //	GET  /healthz           — liveness
-//	GET  /admin/snapshot    — live dictionary generation(s) and provenance
+//	GET  /admin/snapshot    — live dictionary generations and provenance
+//	                          (?domain=<name> for one)
 //	POST /admin/reload      — hot-swap a snapshot now (-snapshot only)
 //	GET  /admin/reload/status — reload watcher counters (-snapshot only)
 //
@@ -22,25 +24,26 @@
 // offline work. Production startup loads prebuilt snapshots (see
 // cmd/dictbuild) and is ready in milliseconds.
 //
-// Single-domain (legacy) mode — one snapshot, byte-identical to every
-// earlier matchd:
+// Every matchd serves through one domain registry. A bare snapshot path
+// is a registry of one domain named "default":
 //
 //	matchd -snapshot dict.snap
 //
-// Multi-domain mode — one process serving several verticals, each
-// hot-reloadable on its own. Repeat -snapshot with name=path pairs, or
-// point -manifest at a file of such lines:
+// Several verticals in one process, each hot-reloadable on its own:
+// repeat -snapshot with name=path pairs, or point -manifest at a file of
+// such lines:
 //
 //	matchd -snapshot movies=movies.snap -snapshot cameras=cameras.snap
 //	matchd -manifest domains.manifest [-default-domain movies]
 //
-// In multi-domain mode /v1/match routes on the request's "domain" field,
-// fans out across "domains" (["*"] = all), and federates domainless
-// queries across every vertical; legacy endpoints serve the default
-// domain (first registered unless -default-domain says otherwise), or
-// ?domain=<name>.
+// /v1/match routes on the request's "domain" field, fans out across
+// "domains" (["*"] = all), and federates domainless queries across every
+// vertical (with one domain, a domainless query is answered by it,
+// unstamped); legacy endpoints serve the default domain (first
+// registered unless -default-domain says otherwise), or ?domain=<name>.
 //
-// Without -snapshot, matchd mines at startup (slow, for development):
+// Without -snapshot, matchd mines at startup (slow, for development) and
+// serves the result as the one domain "default":
 //
 //	matchd [-dataset movies|cameras|software] [-ipc 4] [-icr 0.1] [-seed N]
 //
@@ -63,11 +66,11 @@
 // Hot reload (requires -snapshot): [-reload-interval 0] polls every
 // snapshot file and swaps new dictionary generations in atomically —
 // per domain, so one vertical's publish never touches another's serving
-// state. POST /admin/reload (multi-domain: ?domain=<name>) triggers a
-// check immediately, GET /admin/snapshot reports the live generation(s),
-// and [-canary "q1,q2"] (multi-domain: "domain:q1,domain:q2") adds
+// state. POST /admin/reload?domain=<name> (the param may be omitted with
+// one domain) triggers a check immediately, GET /admin/snapshot reports
+// the live generations, and [-canary "domain:q1,domain:q2"] adds
 // validation queries a candidate snapshot must match before it may
-// serve.
+// serve (with one domain, bare "q1,q2" entries gate it).
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests (large batches included) for up to -drain-timeout
@@ -101,18 +104,24 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// domainSpec is one name=path snapshot assignment.
+// domainSpec is one domain's snapshot file; an empty path serves the
+// state mined at startup instead.
 type domainSpec struct {
 	name, path string
 }
 
+// defaultDomain names the one domain a bare -snapshot path or
+// mine-at-startup is served as; it is also the blob-store pointer name
+// such a replica pulls.
+const defaultDomain = "default"
+
 func main() {
 	var snapshots multiFlag
-	flag.Var(&snapshots, "snapshot", "snapshot to serve: a path (single-domain), or name=path (repeatable, multi-domain)")
+	flag.Var(&snapshots, "snapshot", "snapshot to serve: a path (served as domain \"default\"), or name=path (repeatable)")
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
 		manifest       = flag.String("manifest", "", "file of name=path snapshot lines (multi-domain boot; '#' comments)")
-		defaultDomain  = flag.String("default-domain", "", "domain legacy endpoints route to (default: first registered)")
+		defaultName    = flag.String("default-domain", "", "domain legacy endpoints route to (default: first registered)")
 		writeSnapshot  = flag.String("write-snapshot", "", "mine, write a snapshot to this path, and exit")
 		dataset        = flag.String("dataset", "movies", "data set to mine when not using -snapshot: movies, cameras or software")
 		ipc            = flag.Int("ipc", 4, "IPC threshold β (mining)")
@@ -127,7 +136,7 @@ func main() {
 		useMmap        = flag.Bool("mmap", false, "memory-map snapshot files: near-instant boot, fuzzy postings served from the page cache (requires -snapshot)")
 		drainTimeout   = flag.Duration("drain-timeout", 15*time.Second, "how long to drain in-flight requests on shutdown")
 		reloadInterval = flag.Duration("reload-interval", 0, "poll snapshot files for changes this often and hot-swap (0 = admin-triggered reloads only; requires -snapshot)")
-		canary         = flag.String("canary", "", "comma-separated queries a new snapshot must match before a hot swap (multi-domain: domain:query entries)")
+		canary         = flag.String("canary", "", "comma-separated domain:query entries a new snapshot must match before a hot swap (bare queries with one domain)")
 		fleetAddr      = flag.String("fleet-addr", "", "also serve the fleet wire protocol on this address (replica mode, see cmd/router)")
 		blobDir        = flag.String("blob-dir", "", "content-addressed blob directory to pull snapshots from (requires -snapshot; see cmd/router -publish)")
 		pullInterval   = flag.Duration("pull-interval", 2*time.Second, "blob-store pointer poll period with -blob-dir (0 = POST /admin/pull only)")
@@ -151,8 +160,7 @@ func main() {
 
 	// Fail flag misuse fast, before the (potentially minutes-long)
 	// mine-at-startup path runs: hot reload watches snapshot files, so
-	// both knobs are meaningless without one.
-	multiDomain := len(specs) > 1 || (len(specs) == 1 && specs[0].name != "")
+	// these knobs are meaningless without one.
 	if len(specs) == 0 {
 		if *reloadInterval > 0 {
 			log.Fatal("-reload-interval requires -snapshot (mined-at-startup state has no file to watch)")
@@ -163,12 +171,9 @@ func main() {
 		if *useMmap {
 			log.Fatal("-mmap requires -snapshot (mined-at-startup state has no file to map)")
 		}
-	}
-	if *defaultDomain != "" && !multiDomain {
-		log.Fatal("-default-domain requires multi-domain -snapshot name=path flags")
-	}
-	if *blobDir != "" && len(specs) == 0 {
-		log.Fatal("-blob-dir requires -snapshot (pulled snapshots land in the watched snapshot files)")
+		if *blobDir != "" {
+			log.Fatal("-blob-dir requires -snapshot (pulled snapshots land in the watched snapshot files)")
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -180,48 +185,39 @@ func main() {
 	}
 
 	start := time.Now()
-	var mux *http.ServeMux
-	var backend fleet.Backend
+	var mined *websyn.Snapshot
 	switch {
-	case multiDomain:
-		if *writeSnapshot != "" {
-			log.Fatal("-write-snapshot is a mine-at-startup flag; build per-domain snapshots with cmd/dictbuild")
-		}
-		mux, backend = bootRegistry(ctx, specs, cfg, *defaultDomain, *reloadInterval, *canary, *useMmap, store, *pullInterval)
-	case len(specs) == 1:
-		if *writeSnapshot != "" {
-			// Load + rewrite: upgrades an old-format snapshot file to the
-			// current layout version without serving.
-			snap, _, err := websyn.ReadSnapshotFileHashed(specs[0].path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := snap.WriteFile(*writeSnapshot); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote snapshot %s", *writeSnapshot)
-			return
-		}
-		mux, backend = bootSingle(ctx, specs[0].path, cfg, *reloadInterval, *canary, *useMmap, store, *pullInterval)
-	default:
-		snap, err := mineSnapshot(*dataset, *ipc, *icr, *seed)
+	case *writeSnapshot != "" && len(specs) > 1:
+		log.Fatal("-write-snapshot rewrites one snapshot; build per-domain snapshots with cmd/dictbuild")
+	case *writeSnapshot != "" && len(specs) == 1:
+		// Load + rewrite: upgrades an old-format snapshot file to the
+		// current layout version without serving.
+		snap, _, err := websyn.ReadSnapshotFileHashed(specs[0].path)
 		if err != nil {
 			log.Fatal(err)
 		}
+		if err := snap.WriteFile(*writeSnapshot); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote snapshot %s", *writeSnapshot)
+		return
+	case len(specs) == 0:
+		var err error
+		if mined, err = mineSnapshot(*dataset, *ipc, *icr, *seed); err != nil {
+			log.Fatal(err)
+		}
 		log.Printf("mined %s dictionary: %d entries in %v",
-			snap.Dataset, snap.Dict.Len(), time.Since(start).Round(time.Millisecond))
+			mined.Dataset, mined.Dict.Len(), time.Since(start).Round(time.Millisecond))
 		if *writeSnapshot != "" {
-			if err := snap.WriteFile(*writeSnapshot); err != nil {
+			if err := mined.WriteFile(*writeSnapshot); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("wrote snapshot %s", *writeSnapshot)
 			return
 		}
-		s := websyn.NewMatchServer(snap, cfg)
-		mux = http.NewServeMux()
-		s.Mount(mux)
-		backend = s
+		specs = []domainSpec{{name: defaultDomain}}
 	}
+	mux, backend := bootRegistry(ctx, specs, mined, cfg, *defaultName, *reloadInterval, *canary, *useMmap, store, *pullInterval)
 
 	if *pprofEnable {
 		websyn.MountProfiling(mux)
@@ -278,8 +274,8 @@ func main() {
 }
 
 // resolveSpecs merges -snapshot flags and the -manifest file into one
-// spec list. Bare paths (no '=') select legacy single-domain mode and
-// cannot be mixed with named domains.
+// spec list. A bare path (no '=') is the one domain "default" and cannot
+// be mixed with named domains.
 func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
 	var specs []domainSpec
 	bare := 0
@@ -293,7 +289,7 @@ func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
 			return nil
 		}
 		bare++
-		specs = append(specs, domainSpec{"", strings.TrimSpace(v)})
+		specs = append(specs, domainSpec{defaultDomain, strings.TrimSpace(v)})
 		return nil
 	}
 	for _, v := range flags {
@@ -336,7 +332,7 @@ func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
 	// Duplicate domains fail here with file context, not deep in Add.
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if s.name != "" && seen[s.name] {
+		if seen[s.name] {
 			return nil, fmt.Errorf("matchd: domain %q assigned two snapshots", s.name)
 		}
 		seen[s.name] = true
@@ -344,75 +340,11 @@ func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
 	return specs, nil
 }
 
-// defaultPullDomain is the blob-store domain name a single-snapshot
-// replica pulls: legacy deployments have no domain concept, but the
-// content-addressed store needs a pointer-file name.
-const defaultPullDomain = "default"
-
-// bootSingle is the legacy single-snapshot path, byte-identical to every
-// earlier matchd: one Server, one watcher, no domain routing.
-func bootSingle(ctx context.Context, path string, cfg websyn.ServeConfig, reloadInterval time.Duration, canary string, useMmap bool, store *fleet.Store, pullInterval time.Duration) (*http.ServeMux, fleet.Backend) {
-	blobSHA := ""
-	if store != nil {
-		blobSHA = bootFetchBlob(store, defaultPullDomain, path)
-	}
-	start := time.Now()
-	// The reloader needs the booted content's SHA-256 to seed its change
-	// detection; both loaders compute it during the load.
-	snap, sha, err := loadSnapshot(path, useMmap)
-	if err != nil {
-		log.Fatal(err)
-	}
-	meta := websyn.SnapshotMeta{Path: path, SHA256: sha}
-	log.Printf("loaded snapshot %s (%s, %d dictionary entries, sha256 %.12s) in %v",
-		path, snap.Dataset, snap.Dict.Len(), sha, time.Since(start).Round(time.Millisecond))
-
-	s := websyn.NewMatchServerWithMeta(snap, cfg, meta)
-	mux := http.NewServeMux()
-	s.Mount(mux)
-
-	canaries, err := parseCanaries(canary, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	r, err := websyn.NewReloader(s, websyn.ReloadConfig{
-		Path:     path,
-		Interval: reloadInterval,
-		Canary:   canaries[""],
-		BootSHA:  sha, // already hashed above; skip a second full read
-		Mmap:     useMmap,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Mount(mux)
-	go r.Run(ctx)
-	if store != nil {
-		pullers := fleet.NewPullers()
-		p := &fleet.Puller{Store: store, Domain: defaultPullDomain, Reloader: r, Interval: pullInterval}
-		p.SetBootSHA(blobSHA)
-		if err := pullers.Add(p); err != nil {
-			log.Fatal(err)
-		}
-		pullers.Mount(mux)
-		if pullInterval > 0 {
-			go pullers.Run(ctx)
-			log.Printf("blob pull: polling %s pointer in %s every %v", defaultPullDomain, store.Dir, pullInterval)
-		} else {
-			log.Printf("blob pull: POST /admin/pull fetches from %s", store.Dir)
-		}
-	}
-	if reloadInterval > 0 {
-		log.Printf("hot reload: polling %s every %v (POST /admin/reload to trigger now)", path, reloadInterval)
-	} else {
-		log.Printf("hot reload: POST /admin/reload swaps %s in", path)
-	}
-	return mux, s
-}
-
-// bootRegistry is the multi-domain path: one Server and one reload
-// watcher per named snapshot behind a domain Registry.
-func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfig, defaultDomain string, reloadInterval time.Duration, canary string, useMmap bool, store *fleet.Store, pullInterval time.Duration) (*http.ServeMux, fleet.Backend) {
+// bootRegistry serves every domain through one Registry. A file-backed
+// spec gets its own reload watcher (and blob puller with a store); a
+// spec without a path serves the mined snapshot, which has no file to
+// watch.
+func bootRegistry(ctx context.Context, specs []domainSpec, mined *websyn.Snapshot, cfg websyn.ServeConfig, defaultName string, reloadInterval time.Duration, canary string, useMmap bool, store *fleet.Store, pullInterval time.Duration) (*http.ServeMux, fleet.Backend) {
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.name
@@ -426,6 +358,15 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 	group := websyn.NewReloadGroup()
 	pullers := fleet.NewPullers()
 	for _, spec := range specs {
+		logf := func(format string, args ...any) {
+			log.Printf("domain "+spec.name+": "+format, args...)
+		}
+		if spec.path == "" {
+			if _, err := reg.Add(spec.name, mined, websyn.SnapshotMeta{}); err != nil {
+				log.Fatal(err)
+			}
+			continue
+		}
 		blobSHA := ""
 		if store != nil {
 			blobSHA = bootFetchBlob(store, spec.name, spec.path)
@@ -439,17 +380,15 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("domain %s: loaded %s (%s, %d dictionary entries, sha256 %.12s) in %v",
-			spec.name, spec.path, snap.Dataset, snap.Dict.Len(), sha, time.Since(t0).Round(time.Millisecond))
+		logf("loaded %s (%s, %d dictionary entries, sha256 %.12s) in %v",
+			spec.path, snap.Dataset, snap.Dict.Len(), sha, time.Since(t0).Round(time.Millisecond))
 		r, err := websyn.NewReloader(srv, websyn.ReloadConfig{
 			Path:     spec.path,
 			Interval: reloadInterval,
 			Canary:   canaries[spec.name],
 			BootSHA:  sha,
 			Mmap:     useMmap,
-			Logf: func(format string, args ...any) {
-				log.Printf("domain "+spec.name+": "+format, args...)
-			},
+			Logf:     logf,
 		})
 		if err != nil {
 			log.Fatalf("domain %s: %v", spec.name, err)
@@ -458,18 +397,15 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 			log.Fatal(err)
 		}
 		if store != nil {
-			p := &fleet.Puller{Store: store, Domain: spec.name, Reloader: r, Interval: pullInterval,
-				Logf: func(format string, args ...any) {
-					log.Printf("domain "+spec.name+": "+format, args...)
-				}}
+			p := &fleet.Puller{Store: store, Domain: spec.name, Reloader: r, Interval: pullInterval, Logf: logf}
 			p.SetBootSHA(blobSHA)
 			if err := pullers.Add(p); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	if defaultDomain != "" {
-		if err := reg.SetDefault(defaultDomain); err != nil {
+	if defaultName != "" {
+		if err := reg.SetDefault(defaultName); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -478,6 +414,9 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 
 	mux := http.NewServeMux()
 	reg.Mount(mux)
+	if mined != nil {
+		return mux, reg
+	}
 	group.Mount(mux)
 	go group.Run(ctx)
 	if store != nil {
@@ -523,15 +462,15 @@ func bootFetchBlob(store *fleet.Store, domain, path string) string {
 	return sha
 }
 
-// parseCanaries splits the -canary flag. In single-domain mode (domains
-// nil) every entry gates the one watcher and is returned under "". In
-// multi-domain mode entries must be domain:query — a bare query cannot
-// sensibly gate every vertical's dictionary at once.
+// parseCanaries splits the -canary flag into per-domain query lists.
+// Entries are domain:query. With exactly one domain, an entry not
+// prefixed by that domain's name is a bare query for it — colon and
+// all, since canonical titles ("Madagascar: Escape 2 Africa") contain
+// them. With several domains a bare query cannot sensibly gate every
+// vertical's dictionary at once, so every entry must name a served
+// domain.
 func parseCanaries(flagValue string, domains []string) (map[string][]string, error) {
 	out := map[string][]string{}
-	if flagValue == "" {
-		return out, nil
-	}
 	known := map[string]bool{}
 	for _, d := range domains {
 		known[d] = true
@@ -541,14 +480,13 @@ func parseCanaries(flagValue string, domains []string) (map[string][]string, err
 		if entry == "" {
 			continue
 		}
-		if domains == nil {
-			out[""] = append(out[""], entry)
-			continue
-		}
 		domain, q, ok := strings.Cut(entry, ":")
 		domain, q = strings.TrimSpace(domain), strings.TrimSpace(q)
+		if len(domains) == 1 && (!ok || domain != domains[0]) {
+			domain, q, ok = domains[0], entry, true
+		}
 		if !ok || domain == "" || q == "" {
-			return nil, fmt.Errorf("matchd: multi-domain -canary entries are domain:query, got %q", entry)
+			return nil, fmt.Errorf("matchd: with several domains -canary entries are domain:query, got %q", entry)
 		}
 		if !known[domain] {
 			return nil, fmt.Errorf("matchd: -canary names unknown domain %q", domain)

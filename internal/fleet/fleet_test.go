@@ -93,9 +93,14 @@ func startWireServer(t *testing.T, backend Backend) (string, *Server, func()) {
 	return ln.Addr().String(), srv, kill
 }
 
-// testBackend is a single-domain backend over the movies fixture.
+// testBackend is a registry of one domain ("default") over the movies
+// fixture — the backend matchd runs for a bare -snapshot path.
 func testBackend() Backend {
-	return serve.NewServer(testSnapshot(), serve.Config{})
+	reg := serve.NewRegistry(serve.Config{})
+	if _, err := reg.Add("default", testSnapshot(), serve.SnapshotMeta{}); err != nil {
+		panic(err)
+	}
+	return reg
 }
 
 func matchRequest(query, domain string) match.Request {

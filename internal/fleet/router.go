@@ -208,10 +208,6 @@ func (r *Router) handleMatch(w http.ResponseWriter, req *http.Request, rewrite b
 	if !ok {
 		return
 	}
-	if v1req.Domain != "" && len(v1req.Domains) > 0 {
-		serve.WriteV1Error(w, http.StatusBadRequest, "domain and domains are mutually exclusive")
-		return
-	}
 	items, status, msg := serve.V1Items(v1req, r.cfg.MaxBatch)
 	if msg != "" {
 		serve.WriteV1Error(w, status, "%s", msg)

@@ -5,8 +5,8 @@
 // The pieces, each usable on its own:
 //
 //   - Server serves the internal wire protocol (internal/fleet/wire)
-//     over any net.Listener, turning a serve.Server or serve.Registry
-//     into a replica (matchd's -fleet-addr flag).
+//     over any net.Listener, turning a serve.Registry into a replica
+//     (matchd's -fleet-addr flag).
 //   - Router fronts N replicas with HTTP POST /v1/match: consistent
 //     hashing for domain-pinned queries, round-robin spread for
 //     federated ones, ejection + half-open recovery on health-check
@@ -34,8 +34,8 @@ import (
 )
 
 // Backend answers routed match items: the one capability a replica
-// exposes over the wire protocol. Both serve.Server (single-domain) and
-// serve.Registry (multi-domain) implement it.
+// exposes over the wire protocol. serve.Registry implements it; matchd
+// serves a single snapshot as a registry of one domain.
 type Backend interface {
 	DoItem(it match.Request, domains []string) serve.V1Result
 }

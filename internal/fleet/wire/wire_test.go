@@ -273,3 +273,48 @@ func TestLargeScalarsNearFrameEnd(t *testing.T) {
 		t.Fatalf("decoded predicate %+v", p)
 	}
 }
+
+// FuzzWireDecode feeds arbitrary bytes to both body decoders. Neither
+// may panic; when a decode succeeds, re-encoding the value and decoding
+// that must give the same value back. Values are compared by their
+// canonical encoding, which is exact for every field (float64s by IEEE
+// bits, so a NaN decoded from the input compares equal to itself).
+func FuzzWireDecode(f *testing.F) {
+	for _, b := range [][]byte{
+		AppendRequest(nil, match.Request{}, nil),
+		AppendRequest(nil, match.Request{Query: "indy 4 near san fran"}, nil),
+		AppendRequest(nil, match.Request{
+			Query: "madagascar 2 dvd", Mode: match.ModeSpan, Domain: "movies",
+			TopK: 7, MaxSpanTokens: 5, MinSim: 0.62, Explain: true,
+		}, nil),
+		AppendRequest(nil, match.Request{Query: "canon powershot"}, []string{"movies", "cameras", "*"}),
+		AppendRequest(nil, match.Request{Query: "cheap canon 40d under $500", Rewrite: true, MinSim: 0.55}, []string{"cameras"}),
+		AppendResult(nil, testResult()),
+		AppendResult(nil, Result{Err: "unknown domain \"cars\""}),
+		AppendResult(nil, Result{Response: &match.Response{Query: "q"}}),
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if req, domains, err := DecodeRequest(b); err == nil {
+			enc := AppendRequest(nil, req, domains)
+			req2, domains2, err := DecodeRequest(enc)
+			if err != nil {
+				t.Fatalf("re-encoded request does not decode: %v", err)
+			}
+			if enc2 := AppendRequest(nil, req2, domains2); !bytes.Equal(enc, enc2) {
+				t.Fatalf("request round trip diverged:\n first %+v %q\nsecond %+v %q", req, domains, req2, domains2)
+			}
+		}
+		if res, err := DecodeResult(b); err == nil {
+			enc := AppendResult(nil, res)
+			res2, err := DecodeResult(enc)
+			if err != nil {
+				t.Fatalf("re-encoded result does not decode: %v", err)
+			}
+			if enc2 := AppendResult(nil, res2); !bytes.Equal(enc, enc2) {
+				t.Fatalf("result round trip diverged:\n first %+v\nsecond %+v", res, res2)
+			}
+		}
+	})
+}

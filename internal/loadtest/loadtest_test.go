@@ -12,9 +12,14 @@ import (
 	"websyn/internal/serve"
 )
 
-// newTestHTTP serves srv over a test listener and returns its base URL.
-func newTestHTTP(t *testing.T, srv *serve.Server) string {
-	ts := httptest.NewServer(srv.Handler())
+// newTestHTTP serves snap as a registry of one domain (matchd's bare
+// -snapshot boot) over a test listener and returns its base URL.
+func newTestHTTP(t *testing.T, snap *serve.Snapshot) string {
+	reg := serve.NewRegistry(serve.Config{})
+	if _, err := reg.Add("default", snap, serve.SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
 }
@@ -184,8 +189,7 @@ func TestRunMixedDomainsAgainstRegistry(t *testing.T) {
 // consumers see unchanged JSON.
 func TestLegacyWorkloadReportOmitsDomains(t *testing.T) {
 	snap := testSnapshot()
-	srv := serve.NewServer(snap, serve.Config{})
-	ts := newTestHTTP(t, srv)
+	ts := newTestHTTP(t, snap)
 
 	w, err := FromSnapshot(snap, 1)
 	if err != nil {
@@ -218,8 +222,7 @@ func TestLegacyWorkloadReportOmitsDomains(t *testing.T) {
 
 func TestRunAgainstServer(t *testing.T) {
 	snap := testSnapshot()
-	srv := serve.NewServer(snap, serve.Config{})
-	ts := newTestHTTP(t, srv)
+	ts := newTestHTTP(t, snap)
 
 	w, err := FromSnapshot(snap, 1)
 	if err != nil {
@@ -286,8 +289,7 @@ func TestWorkloadAttributesClass(t *testing.T) {
 		t.Fatalf("vocabulary snapshot generated no attributes queries: %d total", len(wa.Queries))
 	}
 
-	srv := serve.NewServer(snap, serve.Config{})
-	ts := newTestHTTP(t, srv)
+	ts := newTestHTTP(t, snap)
 	rep, err := Run(context.Background(), wa, Options{
 		URL:         ts,
 		QPS:         500,

@@ -15,9 +15,9 @@ import (
 // 100 mutex contention events, and blocking events of one millisecond
 // or longer.
 //
-// Deliberately not mounted by Server.Mount or Registry.Mount: the pprof
-// endpoints expose heap contents and symbol tables, so binaries opt in
-// per listener (matchd/router -pprof). See
+// Deliberately not mounted by Registry.Mount: the pprof endpoints
+// expose heap contents and symbol tables, so binaries opt in per
+// listener (matchd/router -pprof). See
 // docs/PERFORMANCE.md#profiling-contention.
 func MountProfiling(mux *http.ServeMux) {
 	runtime.SetMutexProfileFraction(100)

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,8 +13,9 @@ import (
 	"websyn/internal/match"
 )
 
-// Registry is the multi-domain serving tier: one process, many
-// structured verticals. Each registered domain owns a complete Server —
+// Registry is the serving tier's HTTP surface: one process, one or many
+// structured verticals. A single snapshot is served as a registry of
+// one domain. Each registered domain owns a Server —
 // its own generation handle (dictionary, packed fuzzy index, engine,
 // entity table, request cache) and, via internal/serve/reload, its own
 // snapshot watcher — so movies can hot-swap a new dictionary while
@@ -30,8 +32,8 @@ import (
 //     its domain of origin.
 //   - neither field — fan out across every registered domain. With a
 //     single registered domain this degenerates to an unstamped exact
-//     route, which is how legacy single-snapshot deployments keep their
-//     byte-identical responses behind a default domain.
+//     route, which is how single-snapshot deployments keep their
+//     domainless responses free of domain stamps.
 //
 // The legacy endpoints (GET /match, POST /match/batch, GET /fuzzy,
 // GET /synonyms) route to the default domain, or to ?domain=<name> when
@@ -45,18 +47,20 @@ type Registry struct {
 	names   []string // registration order — the deterministic fan-out order
 	def     string
 
-	v1Reqs    atomic.Uint64
-	v1Queries atomic.Uint64
-	v2Reqs    atomic.Uint64
-	v2Queries atomic.Uint64
-	fanouts   atomic.Uint64
-	v1Lat     latencyRecorder
-	v2Lat     latencyRecorder
+	v1, v2  apiMeters
+	fanouts atomic.Uint64
 
 	// fedPool recycles the per-request scratch of federated fan-outs
 	// (see fedScratch), so steady-state federation does not allocate
 	// bookkeeping per query.
 	fedPool sync.Pool
+}
+
+// apiMeters counts and times one API version's match traffic.
+type apiMeters struct {
+	reqs    atomic.Uint64
+	queries atomic.Uint64
+	lat     latencyRecorder
 }
 
 // NewRegistry returns an empty registry; cfg applies to every domain
@@ -133,19 +137,46 @@ func (reg *Registry) Names() []string {
 	return append([]string(nil), reg.names...)
 }
 
-// target pairs a domain name with its server for routing.
+// target pairs a domain name with its server for routing; i is the
+// domain's registration index (its slot in pins).
 type target struct {
 	name string
 	srv  *Server
+	i    int
 }
 
 // all returns every domain in registration order.
 func (reg *Registry) all() []target {
 	out := make([]target, 0, len(reg.names))
-	for _, n := range reg.names {
-		out = append(out, target{n, reg.domains[n]})
+	for i, n := range reg.names {
+		out = append(out, target{n, reg.domains[n], i})
 	}
 	return out
+}
+
+// pins is one HTTP request's generation per domain, indexed like
+// reg.names. The match handler loads every domain's generation once, so
+// each batch item and federated leg of the request is answered on one
+// consistent dictionary per domain even when a hot reload lands
+// mid-request.
+type pins []*generation
+
+// pin loads every domain's live generation.
+func (reg *Registry) pin() pins {
+	p := make(pins, len(reg.names))
+	for i, n := range reg.names {
+		p[i] = reg.domains[n].gen.Load()
+	}
+	return p
+}
+
+// of returns t's pinned generation, or the live one when nothing was
+// pinned (DoItem answers a single item).
+func (p pins) of(t target) *generation {
+	if p == nil {
+		return t.srv.gen.Load()
+	}
+	return p[t.i]
 }
 
 // resolve expands a domains list into targets: "*" means every domain,
@@ -167,17 +198,26 @@ func (reg *Registry) resolve(names []string) ([]target, error) {
 		if seen[n] {
 			continue
 		}
-		srv, ok := reg.domains[n]
+		t, ok := reg.lookup(n)
 		if !ok {
 			return nil, fmt.Errorf("unknown domain %q (registered: %s)", n, strings.Join(reg.names, ", "))
 		}
 		seen[n] = true
-		out = append(out, target{n, srv})
+		out = append(out, t)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("domains resolves to no domain")
 	}
 	return out, nil
+}
+
+// lookup returns the named domain's routing target.
+func (reg *Registry) lookup(name string) (target, bool) {
+	i := slices.Index(reg.names, name)
+	if i < 0 {
+		return target{}, false
+	}
+	return target{name, reg.domains[name], i}, true
 }
 
 // Handler returns the registry's HTTP API (see Mount).
@@ -187,7 +227,7 @@ func (reg *Registry) Handler() http.Handler {
 	return mux
 }
 
-// Mount registers the multi-domain HTTP API:
+// Mount registers the serving HTTP API:
 //
 //	POST /v1/match           — domain-routed and federated matching
 //	POST /v2/match           — v1 plus attribute predicates + residual
@@ -202,8 +242,8 @@ func (reg *Registry) Handler() http.Handler {
 // POST /admin/reload and GET /admin/reload/status are served per domain
 // by the reload subsystem; see internal/serve/reload.Group.Mount.
 func (reg *Registry) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/match", reg.handleV1Match)
-	mux.HandleFunc("POST /v2/match", reg.handleV2Match)
+	mux.HandleFunc("POST /v1/match", reg.matchHandler(false, &reg.v1))
+	mux.HandleFunc("POST /v2/match", reg.matchHandler(true, &reg.v2))
 	mux.HandleFunc("GET /match", deprecated(reg.delegate((*Server).handleMatch)))
 	mux.HandleFunc("POST /match/batch", deprecated(reg.delegate((*Server).handleBatch)))
 	mux.HandleFunc("GET /fuzzy", deprecated(reg.delegate((*Server).handleFuzzy)))
@@ -232,62 +272,69 @@ func (reg *Registry) delegate(h func(*Server, http.ResponseWriter, *http.Request
 	}
 }
 
-func (reg *Registry) handleV1Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, v1BodyLimit(reg.cfg.MaxBatch))
-	if !ok {
-		return
-	}
-	if req.Domain != "" && len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domain and domains are mutually exclusive")
-		return
-	}
-	items, status, msg := v1Items(req, reg.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	// Resolve the batch-level fan-out once; items carrying their own
-	// domain (directly or inherited from the top-level field) take an
-	// exact route instead. explicit records whether the client asked for
-	// domain routing by name — a single-target fan-out only stamps
-	// provenance then, so domainless traffic against a single-domain
-	// registry stays byte-identical to a standalone server.
-	fan := reg.all()
-	explicit := len(req.Domains) > 0
-	if explicit {
-		var err error
-		if fan, err = reg.resolve(req.Domains); err != nil {
-			writeV1Error(w, http.StatusBadRequest, "%s", err)
+// matchHandler serves POST /v1/match (rewrite false) and POST /v2/match
+// (rewrite true): the same request grammar and routing, counted and
+// timed on that version's meters. v2 switches the structured rewrite
+// stage on for every item; Rewrite has no JSON tag, so the endpoint is
+// the only way a request acquires it.
+func (reg *Registry) matchHandler(rewrite bool, m *apiMeters) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := DecodeV1(w, r, V1BodyLimit(reg.cfg.MaxBatch))
+		if !ok {
 			return
 		}
-	}
+		items, status, msg := V1Items(req, reg.cfg.MaxBatch)
+		if msg != "" {
+			WriteV1Error(w, status, "%s", msg)
+			return
+		}
+		// Resolve the batch-level fan-out once; items carrying their own
+		// domain (directly or inherited from the top-level field) take an
+		// exact route instead. explicit records whether the client asked
+		// for domain routing by name — a single-target fan-out only stamps
+		// provenance then, so domainless traffic against a single-domain
+		// registry carries no domain stamps.
+		fan := reg.all()
+		explicit := len(req.Domains) > 0
+		if explicit {
+			var err error
+			if fan, err = reg.resolve(req.Domains); err != nil {
+				WriteV1Error(w, http.StatusBadRequest, "%s", err)
+				return
+			}
+		}
+		for i := range items {
+			items[i].Rewrite = rewrite
+		}
 
-	reg.v1Reqs.Add(1)
-	reg.v1Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := make([]V1Result, len(items))
-	runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
-		results[i] = reg.routeItem(fan, items[i], explicit)
-	})
-	reg.v1Lat.observe(time.Since(t0))
-	writeJSON(w, V1Response{Count: len(results), Results: results})
+		m.reqs.Add(1)
+		m.queries.Add(uint64(len(items)))
+		t0 := time.Now()
+		p := reg.pin()
+		results := make([]V1Result, len(items))
+		runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
+			results[i] = reg.routeItem(p, fan, items[i], explicit)
+		})
+		m.lat.observe(time.Since(t0))
+		writeJSON(w, V1Response{Count: len(results), Results: results})
+	}
 }
 
 // routeItem answers one item against a resolved fan-out: an item pinned
 // to a domain takes an exact (stamped) route, a single-target fan
 // degenerates to one route, anything else federates.
-func (reg *Registry) routeItem(fan []target, it match.Request, explicit bool) V1Result {
+func (reg *Registry) routeItem(p pins, fan []target, it match.Request, explicit bool) V1Result {
 	if it.Domain != "" {
-		srv, ok := reg.domains[it.Domain]
+		t, ok := reg.lookup(it.Domain)
 		if !ok {
 			return V1Result{Error: fmt.Sprintf("unknown domain %q (registered: %s)", it.Domain, strings.Join(reg.names, ", "))}
 		}
-		return reg.routeOne(target{it.Domain, srv}, it, true)
+		return reg.routeOne(p, t, it, true)
 	}
 	if len(fan) == 1 {
-		return reg.routeOne(fan[0], it, explicit)
+		return reg.routeOne(p, fan[0], it, explicit)
 	}
-	return reg.federate(fan, it)
+	return reg.federate(p, fan, it)
 }
 
 // DoItem answers one routed /v1/match item programmatically — the entry
@@ -304,17 +351,17 @@ func (reg *Registry) DoItem(it match.Request, domains []string) V1Result {
 			return V1Result{Error: err.Error()}
 		}
 	}
-	return reg.routeItem(fan, it, explicit)
+	return reg.routeItem(nil, fan, it, explicit)
 }
 
 // routeOne answers one item on one domain. stamp marks the response with
 // the domain that answered; it is false only for domainless traffic on a
-// single-domain registry, where legacy byte-identity is the contract.
+// single-domain registry, whose responses stay free of domain stamps.
 // Stamping mutates only the response value copy, never cache-shared
 // slices, so the cached response stays domain-neutral.
-func (reg *Registry) routeOne(t target, it match.Request, stamp bool) V1Result {
+func (reg *Registry) routeOne(p pins, t target, it match.Request, stamp bool) V1Result {
 	t.srv.routedQueries.Add(1)
-	res, cached, err := t.srv.do(it)
+	res, cached, err := t.srv.doGen(p.of(t), it)
 	if err != nil {
 		return V1Result{Error: err.Error()}
 	}
@@ -344,7 +391,7 @@ type fedScratch struct {
 // inline on the calling worker instead of dispatching to the pool: a
 // cached per-domain match is about a microsecond, far below the cost of
 // waking pool workers, and the caller is already one of the batch
-// pool's workers (handleV1Match fans items out through runPool).
+// pool's workers (matchHandler fans items out through runPool).
 const inlineFanout = 4
 
 // federate fans one item out across the targets and merges the
@@ -359,7 +406,7 @@ const inlineFanout = 4
 // with their domain's request cache — are never written to, and the old
 // detach-then-stamp double copy is gone. Per-query bookkeeping (the leg
 // table) comes from the registry's scratch pool.
-func (reg *Registry) federate(targets []target, it match.Request) V1Result {
+func (reg *Registry) federate(p pins, targets []target, it match.Request) V1Result {
 	reg.fanouts.Add(1)
 	t0 := time.Now()
 	fs := reg.fedPool.Get().(*fedScratch)
@@ -381,13 +428,13 @@ func (reg *Registry) federate(targets []target, it match.Request) V1Result {
 		for i := range targets {
 			t := targets[i]
 			t.srv.routedQueries.Add(1)
-			legs[i].res, legs[i].cached, legs[i].err = t.srv.do(it)
+			legs[i].res, legs[i].cached, legs[i].err = t.srv.doGen(p.of(t), it)
 		}
 	} else {
 		runPool(reg.cfg.BatchWorkers, len(targets), func(i int) {
 			t := targets[i]
 			t.srv.routedQueries.Add(1)
-			legs[i].res, legs[i].cached, legs[i].err = t.srv.do(it)
+			legs[i].res, legs[i].cached, legs[i].err = t.srv.doGen(p.of(t), it)
 		})
 	}
 
@@ -505,14 +552,14 @@ func (reg *Registry) Stats() RegistryStats {
 	st.UptimeSeconds = time.Since(reg.start).Seconds()
 	st.DefaultDomain = reg.def
 	st.DomainCount = len(reg.names)
-	st.Requests.V1 = reg.v1Reqs.Load()
-	st.Requests.V1Queries = reg.v1Queries.Load()
-	st.Requests.V2 = reg.v2Reqs.Load()
-	st.Requests.V2Queries = reg.v2Queries.Load()
+	st.Requests.V1 = reg.v1.reqs.Load()
+	st.Requests.V1Queries = reg.v1.queries.Load()
+	st.Requests.V2 = reg.v2.reqs.Load()
+	st.Requests.V2Queries = reg.v2.queries.Load()
 	st.Requests.FanoutQueries = reg.fanouts.Load()
-	st.Latency.V1 = reg.v1Lat.snapshot()
+	st.Latency.V1 = reg.v1.lat.snapshot()
 	if st.Requests.V2 > 0 {
-		v2 := reg.v2Lat.snapshot()
+		v2 := reg.v2.lat.snapshot()
 		st.Latency.V2 = &v2
 	}
 	st.Domains = make(map[string]Stats, len(reg.names))

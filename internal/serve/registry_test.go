@@ -36,7 +36,7 @@ func testCamerasSnapshot() *Snapshot {
 }
 
 // testRegistry builds a two-domain registry: movies (default) + cameras.
-func testRegistry(t *testing.T, cfg Config) *Registry {
+func testRegistry(t testing.TB, cfg Config) *Registry {
 	t.Helper()
 	reg := NewRegistry(cfg)
 	if _, err := reg.Add("movies", testSnapshot(), SnapshotMeta{}); err != nil {
@@ -266,22 +266,57 @@ func TestRegistryLegacyDelegation(t *testing.T) {
 	}
 }
 
-// TestRegistrySingleDomainDifferential is the byte-identity proof the
-// legacy contract rests on: a registry serving one domain answers every
-// domainless request exactly like a standalone Server over the same
-// snapshot. /v1/match responses carry wall-clock timing, so those are
-// compared with the timing fields normalized; the legacy endpoints are
-// compared byte for byte.
+// TestRegistrySingleDomainDifferential is the byte-identity proof
+// single-snapshot deployments rest on: a registry serving one domain
+// answers every domainless request exactly as that domain's Server does
+// on its own — /v1/match items through Server.do (Do plus its cache-hit
+// flag), the legacy endpoints through the Server's own handlers.
+// /v1/match responses carry wall-clock timing, so those are compared
+// with the timing fields normalized; everything else byte for byte.
 func TestRegistrySingleDomainDifferential(t *testing.T) {
 	cfg := Config{CacheSize: 16}
-	standalone := httptest.NewServer(NewServer(testSnapshot(), cfg).Handler())
-	defer standalone.Close()
-	reg := NewRegistry(cfg)
-	if _, err := reg.Add("default", testSnapshot(), SnapshotMeta{}); err != nil {
-		t.Fatal(err)
-	}
-	registry := httptest.NewServer(reg.Handler())
+	standalone := NewServer(testSnapshot(), cfg)
+	registry := httptest.NewServer(soloRegistry(t, testSnapshot(), cfg).Handler())
 	defer registry.Close()
+
+	// direct answers one request from the standalone Server alone.
+	direct := func(method, path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(method, path, strings.NewReader(body))
+		switch r.URL.Path {
+		case "/match":
+			standalone.handleMatch(rec, r)
+		case "/match/batch":
+			standalone.handleBatch(rec, r)
+		case "/fuzzy":
+			standalone.handleFuzzy(rec, r)
+		case "/synonyms":
+			standalone.handleSynonyms(rec, r)
+		case "/v1/match":
+			req, ok := DecodeV1(rec, r, V1BodyLimit(DefaultMaxBatch))
+			if !ok {
+				break
+			}
+			items, status, msg := V1Items(req, DefaultMaxBatch)
+			if msg != "" {
+				WriteV1Error(rec, status, "%s", msg)
+				break
+			}
+			out := V1Response{Count: len(items), Results: make([]V1Result, len(items))}
+			for i, it := range items {
+				res, cached, err := standalone.do(it)
+				if err != nil {
+					out.Results[i] = V1Result{Error: err.Error()}
+					continue
+				}
+				out.Results[i] = V1Result{Response: &res, Cached: cached}
+			}
+			writeJSON(rec, out)
+		default:
+			t.Fatalf("no standalone handler for %s", path)
+		}
+		return rec.Code, rec.Body.Bytes()
+	}
 
 	get := []string{
 		"/match?q=" + url.QueryEscape("indy 4 near san fran"),
@@ -290,14 +325,13 @@ func TestRegistrySingleDomainDifferential(t *testing.T) {
 		"/synonyms?u=" + url.QueryEscape("Madagascar: Escape 2 Africa"),
 		"/synonyms?u=nothing",
 		"/match?q=",
-		"/healthz",
 	}
 	for _, path := range get {
-		a, aBody := httpGet(t, standalone.URL+path)
+		aStatus, aBody := direct(http.MethodGet, path, "")
 		b, bBody := httpGet(t, registry.URL+path)
-		if a.StatusCode != b.StatusCode || string(aBody) != string(bBody) {
+		if aStatus != b.StatusCode || string(aBody) != string(bBody) {
 			t.Errorf("GET %s diverged:\nstandalone %d: %s\nregistry %d: %s",
-				path, a.StatusCode, aBody, b.StatusCode, bBody)
+				path, aStatus, aBody, b.StatusCode, bBody)
 		}
 	}
 
@@ -307,20 +341,21 @@ func TestRegistrySingleDomainDifferential(t *testing.T) {
 		{"/match/batch", `not json`},
 		{"/v1/match", `{"query": "indy 4 near san fran", "explain": true}`},
 		{"/v1/match", `{"queries": [{"query": "indy 4"}, {"query": "madagascr", "mode": "fuzzy"}], "top_k": 2}`},
+		{"/v1/match", `{"query": "indy 4 near san fran", "explain": true}`}, // cache hit on both sides
 		{"/v1/match", `{"query": ""}`},
 		{"/v1/match", `{"query": "x", "queries": [{"query": "y"}]}`},
 		{"/v1/match", `{"query": "x", "mode": "bogus"}`},
 		{"/v1/match", `{"unknown_field": 1}`},
 	}
 	for _, req := range post {
-		a, aBody := postJSON(t, standalone.URL+req.path, req.body)
+		aStatus, aBody := direct(http.MethodPost, req.path, req.body)
 		b, bBody := postJSON(t, registry.URL+req.path, req.body)
-		if a.StatusCode != b.StatusCode {
-			t.Errorf("POST %s %s: status %d vs %d", req.path, req.body, a.StatusCode, b.StatusCode)
+		if aStatus != b.StatusCode {
+			t.Errorf("POST %s %s: status %d vs %d", req.path, req.body, aStatus, b.StatusCode)
 			continue
 		}
 		aNorm, bNorm := string(aBody), string(bBody)
-		if req.path == "/v1/match" && a.StatusCode == http.StatusOK {
+		if req.path == "/v1/match" && aStatus == http.StatusOK {
 			aNorm, bNorm = stripTiming(t, aBody), stripTiming(t, bBody)
 		}
 		if aNorm != bNorm {
@@ -431,21 +466,81 @@ func getStatsJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestStandaloneServerRejectsDomainRouting pins the failure mode of
-// domain routing against a single-snapshot server: loud 400, not a
-// silent answer from the wrong (only) dictionary.
-func TestStandaloneServerRejectsDomainRouting(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+// TestSoloRegistryRoutesDefaultDomain pins domain routing on a registry
+// of one: naming its one domain routes there with provenance stamped,
+// and naming any other domain is the usual unknown-domain error.
+func TestSoloRegistryRoutesDefaultDomain(t *testing.T) {
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	for _, body := range []string{
-		`{"query": "indy 4", "domain": "movies"}`,
+		`{"query": "indy 4", "domain": "default"}`,
 		`{"query": "indy 4", "domains": ["*"]}`,
-		`{"queries": [{"query": "indy 4", "domain": "movies"}]}`,
+		`{"queries": [{"query": "indy 4", "domain": "default"}]}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/match", body)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "multi-domain") {
-			t.Errorf("body %s: status %d, %s", body, resp.StatusCode, data)
+		var vr V1Response
+		if err := json.Unmarshal(data, &vr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %s: status %d, %s", body, resp.StatusCode, data)
 		}
+		if r := vr.Results[0]; r.Error != "" || r.Domain != "default" || len(r.Matches) != 1 {
+			t.Errorf("body %s: result %+v", body, r)
+		}
+	}
+
+	_, data := postJSON(t, ts.URL+"/v1/match", `{"query": "indy 4", "domain": "movies"}`)
+	var vr V1Response
+	if err := json.Unmarshal(data, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(vr.Results[0].Error, `unknown domain "movies"`) {
+		t.Errorf("unknown domain on a registry of one: %s", data)
+	}
+}
+
+// TestRegistryPinsGenerationPerRequest pins the per-request generation
+// view the match handler takes: items routed with a request's pins —
+// exact routes and federated legs alike — answer on the generations
+// loaded when the request started, even after an Install lands, while
+// an unpinned route (DoItem) sees the new dictionary.
+func TestRegistryPinsGenerationPerRequest(t *testing.T) {
+	reg := NewRegistry(Config{CacheSize: -1})
+	var srvs []*Server
+	for _, name := range []string{"a", "b"} {
+		srv, err := reg.Add(name, probeSnapshot(0), SnapshotMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+	}
+	p := reg.pin()
+	for _, srv := range srvs {
+		gen, err := srv.Prepare(probeSnapshot(1), SnapshotMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Install(gen)
+	}
+
+	entities := func(r V1Result) []int {
+		if r.Error != "" {
+			t.Fatal(r.Error)
+		}
+		var ids []int
+		for _, m := range r.Matches {
+			ids = append(ids, m.EntityID)
+		}
+		return ids
+	}
+	fed := match.Request{Query: "probe target"}
+	exact := match.Request{Query: "probe target", Domain: "b"}
+	if got := entities(reg.routeItem(p, reg.all(), fed, false)); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Errorf("pinned federation answered entities %v, want [0 0] from the pinned generations", got)
+	}
+	if got := entities(reg.routeItem(p, reg.all(), exact, false)); len(got) != 1 || got[0] != 0 {
+		t.Errorf("pinned exact route answered entities %v, want [0]", got)
+	}
+	if got := entities(reg.DoItem(exact, nil)); len(got) != 1 || got[0] != 1 {
+		t.Errorf("unpinned route answered entities %v, want [1] from the installed generation", got)
 	}
 }

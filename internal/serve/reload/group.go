@@ -74,7 +74,7 @@ func (g *Group) Statuses() map[string]Status {
 //	POST /admin/reload?domain=<name>[&force=1] — reload that domain now;
 //	      the domain param may be omitted when exactly one domain is
 //	      watched. Unknown domains are 404; a rejected snapshot is 422
-//	      with the old generation still serving (see Reloader.Mount).
+//	      with the old generation still serving (see handleReload).
 //	GET  /admin/reload/status                  — every watcher's counters,
 //	      keyed by domain (?domain=<name> narrows to one).
 func (g *Group) Mount(mux *http.ServeMux) {

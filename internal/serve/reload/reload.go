@@ -11,8 +11,8 @@
 // cache is flushed per generation as a side effect of the swap.
 //
 // A reload can also be forced at any time with POST /admin/reload (see
-// Mount), which is how deployment pipelines and the reload-under-load
-// tests drive deterministic swaps.
+// Group.Mount), which is how deployment pipelines and the
+// reload-under-load tests drive deterministic swaps.
 //
 // Failure policy: a snapshot that cannot be read (truncated, bad CRC,
 // unknown version) or that fails canary validation is rejected and the
@@ -380,19 +380,10 @@ type reloadResult struct {
 	Error      string             `json:"error,omitempty"`
 }
 
-// Mount registers the reload admin surface on mux:
-//
-//	POST /admin/reload          — reload now ("?force=1" reinstalls even
-//	                              unchanged bytes); 200 with {"swapped":
-//	                              true|false} on success, 422 with the
-//	                              rejection when the new snapshot is
-//	                              unusable (the old one keeps serving)
-//	GET  /admin/reload/status   — watcher counters and last error
-func (r *Reloader) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /admin/reload", r.handleReload)
-	mux.HandleFunc("GET /admin/reload/status", r.handleStatus)
-}
-
+// handleReload serves POST /admin/reload for this watcher: reload now
+// ("?force=1" reinstalls even unchanged bytes); 200 with {"swapped":
+// true|false} on success, 422 with the rejection when the new snapshot
+// is unusable (the old one keeps serving).
 func (r *Reloader) handleReload(w http.ResponseWriter, req *http.Request) {
 	force := req.URL.Query().Get("force") == "1"
 	swapped, err := r.reload(force, true)

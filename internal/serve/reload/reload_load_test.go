@@ -3,7 +3,6 @@ package reload
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -25,12 +24,8 @@ import (
 // reloader publishes new generations.
 func TestReloadUnderSustainedLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
-
-	mux := http.NewServeMux()
-	srv.Mount(mux)
-	r.Mount(mux)
-	ts := httptest.NewServer(mux)
+	srv, r, h := bootServer(t, path, serve.SnapshotVersion)
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	snap, err := serve.ReadSnapshotFile(path)

@@ -70,10 +70,12 @@ func writeSnapshotVersion(t *testing.T, snap *serve.Snapshot, path string, versi
 }
 
 // bootServer writes the snapshot to path at the given version and boots
-// a server plus reloader on it, the way matchd does: the boot
-// provenance (path + content hash) rides on the first generation, and
-// the reloader picks its memo up from there.
-func bootServer(t *testing.T, path string, version byte) (*serve.Server, *Reloader) {
+// it the way matchd boots a bare -snapshot path: a registry of one
+// domain ("default") whose boot provenance (path + content hash) rides
+// on the first generation, and a reloader that picks its memo up from
+// there, reached through a Group of one. The returned handler is the
+// registry's HTTP surface with the reload admin routes mounted.
+func bootServer(t *testing.T, path string, version byte) (*serve.Server, *Reloader, http.Handler) {
 	t.Helper()
 	writeSnapshotVersion(t, testSnapshot(""), path, version)
 	data, err := os.ReadFile(path)
@@ -84,13 +86,23 @@ func bootServer(t *testing.T, path string, version byte) (*serve.Server, *Reload
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServerWithMeta(snap, serve.Config{CacheSize: 64},
-		serve.SnapshotMeta{Path: path, SHA256: shaHex(data)})
+	reg := serve.NewRegistry(serve.Config{CacheSize: 64})
+	srv, err := reg.Add("default", snap, serve.SnapshotMeta{Path: path, SHA256: shaHex(data)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := New(srv, Config{Path: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, r
+	group := NewGroup()
+	if err := group.Add("default", r); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	reg.Mount(mux)
+	group.Mount(mux)
+	return srv, r, mux
 }
 
 func mustMatch(t *testing.T, srv *serve.Server, query string, entity int) {
@@ -109,12 +121,8 @@ func mustMatch(t *testing.T, srv *serve.Server, query string, entity int) {
 // /admin/snapshot and queries served throughout.
 func TestCrossgradeReloads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
-
-	mux := http.NewServeMux()
-	srv.Mount(mux)
-	r.Mount(mux)
-	ts := httptest.NewServer(mux)
+	srv, r, h := bootServer(t, path, serve.SnapshotVersion)
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	if gen, swaps := srv.Generation(); gen != 1 || swaps != 0 {
@@ -163,7 +171,7 @@ func TestCrossgradeReloads(t *testing.T) {
 
 	// /admin/snapshot agrees.
 	var info serve.SnapshotInfo
-	getJSON(t, ts.URL+"/admin/snapshot", &info)
+	getJSON(t, ts.URL+"/admin/snapshot?domain=default", &info)
 	if info.Generation != 3 || info.Swaps != 2 || info.Snapshot.Version != serve.SnapshotVersion {
 		t.Fatalf("/admin/snapshot: %+v", info)
 	}
@@ -174,12 +182,8 @@ func TestCrossgradeReloads(t *testing.T) {
 // error on the status endpoint.
 func TestCorruptSnapshotRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
-
-	mux := http.NewServeMux()
-	srv.Mount(mux)
-	r.Mount(mux)
-	ts := httptest.NewServer(mux)
+	srv, r, h := bootServer(t, path, serve.SnapshotVersion)
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	data, err := os.ReadFile(path)
@@ -226,7 +230,7 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 		t.Fatalf("POST /admin/reload on corrupt file: status %d", resp.StatusCode)
 	}
 	var st Status
-	getJSON(t, ts.URL+"/admin/reload/status", &st)
+	getJSON(t, ts.URL+"/admin/reload/status?domain=default", &st)
 	if st.Failures < 4 || st.LastError == "" || st.Swaps != 0 {
 		t.Fatalf("status after corrupt reloads: %+v", st)
 	}
@@ -253,7 +257,7 @@ func flipByte(data []byte, i int) []byte {
 // fine, so only canary validation can catch it.
 func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r, _ := bootServer(t, path, serve.SnapshotVersion)
 
 	bad := testSnapshot("broken")
 	bad.Canonicals = append(bad.Canonicals, "Some Movie Missing From The Dictionary")
@@ -307,7 +311,7 @@ func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 // no-op; rewritten identical bytes -> no-op; force -> reinstall.
 func TestUnchangedFileSkipsSwap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r, _ := bootServer(t, path, serve.SnapshotVersion)
 
 	if swapped, err := r.Reload(false); err != nil || swapped {
 		t.Fatalf("unchanged file: swapped %v, err %v", swapped, err)
@@ -442,7 +446,7 @@ func TestStatPreservingPublishIsEventuallySeen(t *testing.T) {
 // snapshot under it.
 func TestPollerPicksUpNewSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, _ := bootServer(t, path, serve.SnapshotVersion)
+	srv, _, _ := bootServer(t, path, serve.SnapshotVersion)
 	r, err := New(srv, Config{Path: path, Interval: 5 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

@@ -133,11 +133,12 @@ func (g *Generation) Entities() int { return len(g.g.canonicals) }
 // string). Callers must treat it as read-only.
 func (g *Generation) Canonicals() []string { return g.g.canonicals }
 
-// Server is the online matching tier: one match.Engine over immutable
-// dictionary state, plus a request cache and counters. Every endpoint —
-// the versioned /v1/match and the legacy /match, /match/batch and
-// /fuzzy adapters — routes through the engine via Server.do. All
-// methods are safe for concurrent use.
+// Server holds one domain's serving generation: one match.Engine over
+// immutable dictionary state, plus its request cache and counters. The
+// HTTP surface is the Registry's; a Server answers the queries the
+// registry routes to it (Registry.DoItem, the /v1 and /v2 handlers and
+// the legacy adapters) through doGen. All methods are safe for
+// concurrent use.
 //
 // The snapshot-derived state lives behind an atomic generation handle:
 // Prepare builds a new generation from a fresh snapshot off the request
@@ -150,21 +151,14 @@ type Server struct {
 
 	matchLat latencyRecorder
 	batchLat latencyRecorder
-	v1Lat    latencyRecorder
-	v2Lat    latencyRecorder
 
 	matchReqs    atomic.Uint64
 	batchReqs    atomic.Uint64
 	batchQueries atomic.Uint64
 	fuzzyReqs    atomic.Uint64
 	synReqs      atomic.Uint64
-	v1Reqs       atomic.Uint64
-	v1Queries    atomic.Uint64
-	v2Reqs       atomic.Uint64
-	v2Queries    atomic.Uint64
-	// routedQueries counts queries delivered to this server by a domain
-	// Registry (exact routes and federated fan-out legs alike); always
-	// zero on a standalone single-snapshot server.
+	// routedQueries counts /v1 and /v2 queries the Registry delivered
+	// to this domain (exact routes and federated fan-out legs alike).
 	routedQueries atomic.Uint64
 }
 
@@ -409,9 +403,10 @@ func (s *Server) do(req match.Request) (match.Response, bool, error) {
 }
 
 // doGen is do pinned to one generation. Handlers load the generation
-// once per HTTP request and thread it through, so a whole request —
-// every item of a batch included — is answered by one consistent
-// dictionary even when a hot reload lands mid-request.
+// once per HTTP request and thread it through (the registry's match
+// handler through its pins), so a whole request — every item of a
+// batch included — is answered by one consistent dictionary even when
+// a hot reload lands mid-request.
 func (s *Server) doGen(g *generation, req match.Request) (match.Response, bool, error) {
 	var out match.Response
 	var hit bool
@@ -442,27 +437,6 @@ func (s *Server) Do(req match.Request) (match.Response, error) {
 	return detachResponse(res), nil
 }
 
-// DoItem answers one routed /v1/match item programmatically — the entry
-// point the fleet wire protocol calls into. A single-snapshot server has
-// exactly one dictionary, so domain routing (a pinned domain or a
-// domains fan-out list) is rejected with the same message the HTTP
-// handler uses; errors are per-item, never transport-level. The returned
-// response may share slices with the request cache: read-only.
-func (s *Server) DoItem(it match.Request, domains []string) V1Result {
-	if len(domains) > 0 {
-		return V1Result{Error: "domains requires a multi-domain server (matchd -snapshot name=path)"}
-	}
-	if it.Domain != "" {
-		return V1Result{Error: fmt.Sprintf("domain %q: domain routing requires a multi-domain server (matchd -snapshot name=path)", it.Domain)}
-	}
-	s.routedQueries.Add(1)
-	res, cached, err := s.do(it)
-	if err != nil {
-		return V1Result{Error: err.Error()}
-	}
-	return V1Result{Response: &res, Cached: cached}
-}
-
 // detachResponse deep-copies the slices a caller could mutate, so
 // neither the caller nor the cache can corrupt the other.
 func detachResponse(r match.Response) match.Response {
@@ -483,12 +457,9 @@ func detachResponse(r match.Response) match.Response {
 	return r
 }
 
-// runPool applies fn to every index in [0, n) on a bounded worker pool.
-func (s *Server) runPool(n int, fn func(i int)) {
-	runPool(s.cfg.BatchWorkers, n, fn)
-}
-
-// runPool is the pool shared by Server batches and Registry fan-outs.
+// runPool applies fn to every index in [0, n) on a bounded worker pool:
+// the pool behind Registry batches, federated fan-outs and the legacy
+// /match/batch adapter.
 func runPool(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -593,58 +564,21 @@ func (s *Server) matchGen(g *generation, query string) MatchResult {
 	return legacyMatchResult(res, cached)
 }
 
-// MatchBatch segments many queries with a bounded worker pool, returning
+// matchBatch segments many queries with a bounded worker pool, returning
 // results in input order. The whole batch runs against one generation:
 // a hot reload mid-batch cannot mix dictionaries within one response.
-func (s *Server) MatchBatch(queries []string) []MatchResult {
+func (s *Server) matchBatch(queries []string) []MatchResult {
 	g := s.gen.Load()
 	out := make([]MatchResult, len(queries))
-	s.runPool(len(queries), func(i int) {
+	runPool(s.cfg.BatchWorkers, len(queries), func(i int) {
 		out[i] = s.matchGen(g, queries[i])
 	})
 	return out
 }
 
-// Handler returns the HTTP API:
-//
-//	POST /v1/match          — unified match API: single + batch, all
-//	                          modes, explain traces (see docs/API.md)
-//	POST /v2/match          — v1 plus the structured rewrite stage:
-//	                          typed attribute predicates + residual
-//	GET  /match?q=<query>   — deprecated: segment one query
-//	POST /match/batch       — deprecated: segment many queries (JSON body)
-//	GET  /fuzzy?q=<query>   — deprecated: whole-string fuzzy lookup
-//	GET  /synonyms?u=<name> — mined synonyms of a canonical string
-//	GET  /statsz            — cache, dictionary and latency stats
-//	GET  /admin/snapshot    — generation, snapshot provenance, swap count
-//	GET  /healthz           — liveness
-//
-// POST /admin/reload is served by the reload subsystem; see
-// internal/serve/reload.Reloader.Mount.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Mount(mux)
-	return mux
-}
-
-// Mount registers the server's endpoints on an existing mux, so callers
-// composing extra routes (the reload admin surface) share one router.
-// The pre-v1 adapters (/match, /match/batch, /fuzzy) are mounted behind
-// the deprecation shim: same bytes, plus Deprecation/Sunset headers
-// pointing clients at the versioned surface.
-func (s *Server) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/match", s.handleV1Match)
-	mux.HandleFunc("POST /v2/match", s.handleV2Match)
-	mux.HandleFunc("GET /match", deprecated(s.handleMatch))
-	mux.HandleFunc("POST /match/batch", deprecated(s.handleBatch))
-	mux.HandleFunc("GET /fuzzy", deprecated(s.handleFuzzy))
-	mux.HandleFunc("GET /synonyms", s.handleSynonyms)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.HandleFunc("GET /admin/snapshot", s.handleAdminSnapshot)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeText(w, "ok\n")
-	})
-}
+// The legacy handlers below are mounted by Registry.Mount (behind the
+// deprecation shim where the endpoint is deprecated) and resolve their
+// domain through Registry.delegate.
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
@@ -670,27 +604,18 @@ type BatchResponse struct {
 	Results []MatchResult `json:"results"`
 }
 
-// bodyLimit scales the request-body cap with the configured batch size
-// (queries are short; 512 bytes each is generous) so a raised -max-batch
-// is not silently capped by a byte limit.
-func (s *Server) bodyLimit() int64 {
-	return v1BodyLimit(s.cfg.MaxBatch)
-}
-
-// v1BodyLimit is the shared request-body cap formula (Server and
-// Registry must agree, or the differential guarantees break).
-func v1BodyLimit(maxBatch int) int64 {
+// V1BodyLimit is the request-body cap for a given batch limit, scaled
+// with the batch size (queries are short; 512 bytes each is generous)
+// so a raised -max-batch is not silently capped by a byte limit. /v1,
+// /v2 and the legacy /match/batch share it, and the fleet router
+// applies it so it caps exactly like the replicas behind it.
+func V1BodyLimit(maxBatch int) int64 {
 	return int64(1<<20) + 512*int64(maxBatch)
 }
 
-// V1BodyLimit is the /v1/match request-body cap for a given batch
-// limit — exported so the fleet router applies the same cap as the
-// replicas behind it.
-func V1BodyLimit(maxBatch int) int64 { return v1BodyLimit(maxBatch) }
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, V1BodyLimit(s.cfg.MaxBatch)))
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -713,7 +638,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(1)
 	s.batchQueries.Add(uint64(len(req.Queries)))
 	t0 := time.Now()
-	results := s.MatchBatch(req.Queries)
+	results := s.matchBatch(req.Queries)
 	s.batchLat.observe(time.Since(t0))
 	writeJSON(w, BatchResponse{Count: len(results), Results: results})
 }
@@ -781,7 +706,9 @@ func (s *Server) handleSynonyms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SynonymsResult{Input: g.canonicals[id], Synonyms: g.synonyms[norm]})
 }
 
-// Stats is the JSON shape of /statsz.
+// Stats is one domain's entry in the registry's GET /statsz
+// (RegistryStats.Domains). The /v1 and /v2 request counters and
+// latencies are registry-level; see RegistryStats.
 type Stats struct {
 	Dataset       string  `json:"dataset"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -804,24 +731,13 @@ type Stats struct {
 		BatchQueries uint64 `json:"batch_queries"`
 		Fuzzy        uint64 `json:"fuzzy"`
 		Synonyms     uint64 `json:"synonyms"`
-		V1           uint64 `json:"v1"`
-		V1Queries    uint64 `json:"v1_queries"`
-		// V2/V2Queries count POST /v2/match traffic; omitted (zero)
-		// until the first v2 request, so the legacy /statsz shape is
-		// unchanged for v1-only deployments.
-		V2        uint64 `json:"v2,omitempty"`
-		V2Queries uint64 `json:"v2_queries,omitempty"`
-		// RoutedQueries counts queries a domain Registry delivered to
-		// this server; omitted (zero) on standalone servers, so the
-		// legacy /statsz shape is unchanged.
+		// RoutedQueries counts the /v1 and /v2 queries the registry
+		// delivered to this domain; omitted (zero) until the first one.
 		RoutedQueries uint64 `json:"routed_queries,omitempty"`
 	} `json:"requests"`
 	Latency struct {
 		Match LatencyStats `json:"match"`
 		Batch LatencyStats `json:"batch"`
-		V1    LatencyStats `json:"v1"`
-		// V2 appears once /v2/match has served a request.
-		V2 *LatencyStats `json:"v2,omitempty"`
 	} `json:"latency"`
 }
 
@@ -847,23 +763,10 @@ func (s *Server) Stats() Stats {
 	st.Requests.BatchQueries = s.batchQueries.Load()
 	st.Requests.Fuzzy = s.fuzzyReqs.Load()
 	st.Requests.Synonyms = s.synReqs.Load()
-	st.Requests.V1 = s.v1Reqs.Load()
-	st.Requests.V1Queries = s.v1Queries.Load()
-	st.Requests.V2 = s.v2Reqs.Load()
-	st.Requests.V2Queries = s.v2Queries.Load()
 	st.Requests.RoutedQueries = s.routedQueries.Load()
 	st.Latency.Match = s.matchLat.snapshot()
 	st.Latency.Batch = s.batchLat.snapshot()
-	st.Latency.V1 = s.v1Lat.snapshot()
-	if st.Requests.V2 > 0 {
-		v2 := s.v2Lat.snapshot()
-		st.Latency.V2 = &v2
-	}
 	return st
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Stats())
 }
 
 // SnapshotInfo is the JSON shape of GET /admin/snapshot: which
@@ -899,10 +802,6 @@ func (s *Server) SnapshotInfo() SnapshotInfo {
 		Entities:    len(g.canonicals),
 		DictEntries: g.dict.Len(),
 	}
-}
-
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.SnapshotInfo())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

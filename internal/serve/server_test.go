@@ -17,6 +17,22 @@ func testServer(cfg Config) *Server {
 	return NewServer(testSnapshot(), cfg)
 }
 
+// soloRegistry serves snap as a registry of one domain named "default",
+// the way matchd serves a bare -snapshot path.
+func soloRegistry(t testing.TB, snap *Snapshot, cfg Config) *Registry {
+	t.Helper()
+	reg := NewRegistry(cfg)
+	if _, err := reg.Add("default", snap, SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// testHandler is the HTTP surface over the movie test snapshot.
+func testHandler(t testing.TB, cfg Config) http.Handler {
+	return soloRegistry(t, testSnapshot(), cfg).Handler()
+}
+
 func TestMatchUsesCache(t *testing.T) {
 	s := testServer(Config{CacheSize: 16})
 	first := s.Match("indy 4 showtimes")
@@ -61,7 +77,7 @@ func TestMatchBatchOrderAndResults(t *testing.T) {
 			queries[i] = fmt.Sprintf("nothing here %d", i)
 		}
 	}
-	got := s.MatchBatch(queries)
+	got := s.matchBatch(queries)
 	if len(got) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(got), len(queries))
 	}
@@ -76,7 +92,7 @@ func TestMatchBatchOrderAndResults(t *testing.T) {
 }
 
 func TestHTTPMatch(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/match?q=indy+4+near+san+francisco")
@@ -109,8 +125,7 @@ func TestHTTPMatch(t *testing.T) {
 }
 
 func TestHTTPBatch(t *testing.T) {
-	srv := testServer(Config{})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	// Acceptance: >= 100 queries in one request, per-query segmentations.
@@ -159,8 +174,7 @@ func TestHTTPBatch(t *testing.T) {
 	}
 
 	// Over the batch limit.
-	small := NewServer(testSnapshot(), Config{MaxBatch: 10})
-	ts2 := httptest.NewServer(small.Handler())
+	ts2 := httptest.NewServer(testHandler(t, Config{MaxBatch: 10}))
 	defer ts2.Close()
 	resp2, err := http.Post(ts2.URL+"/match/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -207,7 +221,7 @@ func TestMatchResultIsolatedFromCache(t *testing.T) {
 }
 
 func TestHTTPFuzzyAndSynonyms(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	var fr FuzzyResult
@@ -236,8 +250,7 @@ func TestHTTPFuzzyAndSynonyms(t *testing.T) {
 }
 
 func TestHTTPStatsz(t *testing.T) {
-	srv := testServer(Config{CacheSize: 8})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(testHandler(t, Config{CacheSize: 8}))
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
@@ -254,8 +267,9 @@ func TestHTTPStatsz(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
+	var rs RegistryStats
+	getJSON(t, ts.URL+"/statsz", &rs)
+	st := rs.Domains["default"]
 	if st.Dataset != "Movies" {
 		t.Errorf("dataset %q", st.Dataset)
 	}
@@ -292,8 +306,9 @@ func TestHTTPStatsz(t *testing.T) {
 // -race this is the cache-under-concurrency acceptance test at the HTTP
 // layer.
 func TestServerConcurrentMixedLoad(t *testing.T) {
-	srv := testServer(Config{CacheSize: 32, BatchWorkers: 2})
-	ts := httptest.NewServer(srv.Handler())
+	reg := soloRegistry(t, testSnapshot(), Config{CacheSize: 32, BatchWorkers: 2})
+	srv := reg.Default()
+	ts := httptest.NewServer(reg.Handler())
 	defer ts.Close()
 
 	queries := []string{"indy 4", "madagascar 2", "crystal skull dvd", "unrelated"}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"time"
 
 	"websyn/internal/match"
 )
@@ -41,8 +40,7 @@ type V1Request struct {
 	// merges the answers into one federated response per item: an
 	// explicit list, or ["*"] for every domain. Mutually exclusive with
 	// the top-level domain field; an item's own domain field overrides
-	// the fan-out with an exact route. Only a multi-domain Registry
-	// accepts it — a single-snapshot Server rejects domain routing.
+	// the fan-out with an exact route.
 	Domains []string `json:"domains,omitempty"`
 }
 
@@ -73,10 +71,6 @@ type v1Error struct {
 // error shape. Exported for front ends (the fleet router) that must
 // speak the exact same error grammar as the serving tier.
 func WriteV1Error(w http.ResponseWriter, status int, format string, args ...any) {
-	writeV1Error(w, status, format, args...)
-}
-
-func writeV1Error(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -109,37 +103,34 @@ func inheritDefaults(item, top match.Request) match.Request {
 }
 
 // DecodeV1 parses a POST /v1/match body, writing the 4xx itself on
-// failure. Shared by the single-domain Server, the domain Registry and
-// the fleet router so all three speak the exact same request grammar.
+// failure. Shared by the Registry and the fleet router so both speak
+// the exact same request grammar.
 func DecodeV1(w http.ResponseWriter, r *http.Request, limit int64) (V1Request, bool) {
-	return decodeV1(w, r, limit)
-}
-
-func decodeV1(w http.ResponseWriter, r *http.Request, limit int64) (V1Request, bool) {
 	var req V1Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			WriteV1Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 			return V1Request{}, false
 		}
-		writeV1Error(w, http.StatusBadRequest, "bad JSON body: %s", err)
+		WriteV1Error(w, http.StatusBadRequest, "bad JSON body: %s", err)
 		return V1Request{}, false
 	}
 	return req, true
 }
 
-// V1Items expands a decoded request into its per-item list, applying
-// batch-level defaults. A non-empty message (with its HTTP status)
-// reports a request-level failure. Exported for the fleet router, which
-// expands a client batch and scatters the items across replicas.
+// V1Items validates a decoded request and expands it into its per-item
+// list, applying batch-level defaults. A non-empty message (with its
+// HTTP status) reports a request-level failure: domain and domains set
+// together, neither or both of query and queries, or an oversized
+// batch. Exported for the fleet router, which expands a client batch
+// and scatters the items across replicas.
 func V1Items(req V1Request, maxBatch int) (items []match.Request, status int, msg string) {
-	return v1Items(req, maxBatch)
-}
-
-func v1Items(req V1Request, maxBatch int) (items []match.Request, status int, msg string) {
+	if req.Domain != "" && len(req.Domains) > 0 {
+		return nil, http.StatusBadRequest, "domain and domains are mutually exclusive"
+	}
 	items = req.Queries
 	if len(items) == 0 {
 		if req.Query == "" {
@@ -158,60 +149,4 @@ func v1Items(req V1Request, maxBatch int) (items []match.Request, status int, ms
 		}
 	}
 	return items, 0, ""
-}
-
-// doItems answers an expanded item list on the worker pool, the whole
-// batch on one generation — a hot swap mid-request cannot answer some
-// items from the old dictionary and some from the new. Counting and
-// timing belong to the per-version wrappers (doBatch, doBatchV2).
-func (s *Server) doItems(items []match.Request) []V1Result {
-	g := s.gen.Load()
-	results := make([]V1Result, len(items))
-	s.runPool(len(items), func(i int) {
-		res, cached, err := s.doGen(g, items[i])
-		if err != nil {
-			results[i] = V1Result{Error: err.Error()}
-			return
-		}
-		results[i] = V1Result{Response: &res, Cached: cached}
-	})
-	return results
-}
-
-// doBatch answers an expanded item list as one v1 request: counted once,
-// timed once.
-func (s *Server) doBatch(items []match.Request) []V1Result {
-	s.v1Reqs.Add(1)
-	s.v1Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := s.doItems(items)
-	s.v1Lat.observe(time.Since(t0))
-	return results
-}
-
-func (s *Server) handleV1Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, s.bodyLimit())
-	if !ok {
-		return
-	}
-	items, status, msg := v1Items(req, s.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	// A single-snapshot server has exactly one dictionary: a request that
-	// asks for domain routing expects behavior this deployment cannot
-	// provide, so fail loud instead of silently answering from the wrong
-	// (only) domain.
-	if len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domains requires a multi-domain server (matchd -snapshot name=path)")
-		return
-	}
-	for _, it := range items {
-		if it.Domain != "" {
-			writeV1Error(w, http.StatusBadRequest, "domain %q: domain routing requires a multi-domain server (matchd -snapshot name=path)", it.Domain)
-			return
-		}
-	}
-	writeJSON(w, V1Response{Count: len(items), Results: s.doBatch(items)})
 }

@@ -29,7 +29,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 }
 
 func TestV1MatchSingle(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{CacheSize: 16}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{CacheSize: 16}))
 	defer ts.Close()
 
 	resp, data := postJSON(t, ts.URL+"/v1/match", `{"query": "indy 4 near san fran", "explain": true}`)
@@ -86,7 +86,7 @@ func TestV1MatchSingle(t *testing.T) {
 }
 
 func TestV1MatchSpanFuzzy(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	// "kristol" is edit distance 3 from "crystal": the trie cannot bridge
@@ -120,7 +120,7 @@ func TestV1MatchSpanFuzzy(t *testing.T) {
 }
 
 func TestV1MatchBatch(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{BatchWorkers: 4}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{BatchWorkers: 4}))
 	defer ts.Close()
 
 	body := `{
@@ -161,8 +161,7 @@ func TestV1MatchBatch(t *testing.T) {
 }
 
 func TestV1MatchErrorPaths(t *testing.T) {
-	srv := NewServer(testSnapshot(), Config{MaxBatch: 3})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(testHandler(t, Config{MaxBatch: 3}))
 	defer ts.Close()
 
 	cases := []struct {
@@ -295,7 +294,7 @@ func get(t *testing.T, url string) (int, []byte) {
 // the cached flag on repeats.
 func TestLegacyMatchByteIdentical(t *testing.T) {
 	snap := testSnapshot()
-	ts := httptest.NewServer(NewServer(snap, Config{CacheSize: 32}).Handler())
+	ts := httptest.NewServer(soloRegistry(t, snap, Config{CacheSize: 32}).Handler())
 	defer ts.Close()
 
 	queries := []string{
@@ -324,7 +323,7 @@ func TestLegacyMatchByteIdentical(t *testing.T) {
 // unchanged.
 func TestLegacyBatchByteIdentical(t *testing.T) {
 	snap := testSnapshot()
-	ts := httptest.NewServer(NewServer(snap, Config{CacheSize: -1}).Handler())
+	ts := httptest.NewServer(soloRegistry(t, snap, Config{CacheSize: -1}).Handler())
 	defer ts.Close()
 
 	queries := []string{"indy 4 tickets", "madagascar 2", "nothing here", "watch indiana jones 4"}
@@ -352,7 +351,7 @@ func TestLegacyBatchByteIdentical(t *testing.T) {
 // unchanged.
 func TestLegacyFuzzyByteIdentical(t *testing.T) {
 	snap := testSnapshot()
-	ts := httptest.NewServer(NewServer(snap, Config{}).Handler())
+	ts := httptest.NewServer(soloRegistry(t, snap, Config{}).Handler())
 	defer ts.Close()
 	fi := snap.Dict.NewFuzzyIndex(snap.MinSim)
 
@@ -367,4 +366,67 @@ func TestLegacyFuzzyByteIdentical(t *testing.T) {
 			t.Errorf("fuzzy %q diverged:\n got %s\nwant %s", q, got, want)
 		}
 	}
+}
+
+// FuzzV1Request posts arbitrary bodies to POST /v1/match and POST
+// /v2/match on a two-domain registry with a small batch limit. Whatever
+// the bytes, the surface answers 200, 400 or 413 (never a 5xx, never a
+// panic); a 200 is a V1Response whose count matches its results, each
+// holding a response or an error but not both; a 4xx is a JSON error
+// object.
+func FuzzV1Request(f *testing.F) {
+	for _, body := range []string{
+		`{"query": "indy 4 near san fran", "explain": true}`,
+		`{"query": "indy 4 near san fran", "explain": true, "top_k": 2}`,
+		`{"query": "kingdom of the kristol skull tickets", "mode": "segment"}`,
+		`{"top_k": 3, "queries": [{"query": "indy 4 tickets"}, {"query": ""}, {"query": "madagascar 2", "mode": "fuzzy"}, {"query": "zzz qqq"}]}`,
+		`{"query": `,
+		`{"query": "indy 4", "frobnicate": true}`,
+		`{}`,
+		`{"query": "x", "queries": [{"query": "y"}]}`,
+		`{"queries": [{"query":"a"},{"query":"b"},{"query":"c"},{"query":"d"},{"query":"e"}]}`,
+		`{"query": 42}`,
+		`{"queries": [{"query": "x", "mode": "telepathy"}, {"query": "x", "top_k": -2}]}`,
+		`{"query": "indiana jones 4 2008 adventure tickets", "explain": true}`,
+		`{"query": "indy 4", "rewrite": true}`,
+		`{"query": "indy 4 digital rebel xt cheap adventure", "explain": true}`,
+		`{"query": "madagascar 2", "domain": "movies"}`,
+		`{"query": "nikon d 80", "domains": ["movies", "cameras"]}`,
+		`{"query": "indy 4", "domains": ["movies", "books"]}`,
+		`{"query": "indy 4", "domain": "movies", "domains": ["*"]}`,
+		`{"queries": [{"query": "indy 4", "domain": "movies"}, {"query": "indy 4", "domain": "books"}]}`,
+	} {
+		f.Add(body)
+	}
+	h := testVocabRegistry(f, Config{CacheSize: 16, BatchWorkers: 2, MaxBatch: 4}).Handler()
+
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/v1/match", "/v2/match"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			data := rec.Body.Bytes()
+			switch rec.Code {
+			case http.StatusOK:
+				var vr V1Response
+				if err := json.Unmarshal(data, &vr); err != nil {
+					t.Fatalf("%s %q: 200 body is not a V1Response: %v\n%s", path, body, err, data)
+				}
+				if vr.Count != len(vr.Results) {
+					t.Fatalf("%s %q: count %d, %d results", path, body, vr.Count, len(vr.Results))
+				}
+				for i, r := range vr.Results {
+					if (r.Response != nil) == (r.Error != "") {
+						t.Fatalf("%s %q: result %d holds response %v and error %q", path, body, i, r.Response != nil, r.Error)
+					}
+				}
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+				var e v1Error
+				if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+					t.Fatalf("%s %q: status %d body is not a JSON error: %s", path, body, rec.Code, data)
+				}
+			default:
+				t.Fatalf("%s %q: status %d: %s", path, body, rec.Code, data)
+			}
+		}
+	})
 }

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"net/http"
-	"time"
-
-	"websyn/internal/match"
-)
+import "net/http"
 
 // POST /v2/match — the attribute-aware successor of /v1/match. The
 // request grammar is identical (single query or batch, the same tuning
@@ -53,87 +48,4 @@ func deprecated(h http.HandlerFunc) http.HandlerFunc {
 		hdr.Set("Link", legacySuccessor)
 		h(w, r)
 	}
-}
-
-// markRewrite switches an expanded item list onto the v2 path. Rewrite
-// is not a client-settable field (it has no JSON tag), so this is the
-// only place a single-server request acquires it: the API version is
-// the switch.
-func markRewrite(items []match.Request) {
-	for i := range items {
-		items[i].Rewrite = true
-	}
-}
-
-// doBatchV2 answers an expanded item list as one v2 request: counted
-// and timed on the v2 meters, executed by the same pool as v1.
-func (s *Server) doBatchV2(items []match.Request) []V1Result {
-	s.v2Reqs.Add(1)
-	s.v2Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := s.doItems(items)
-	s.v2Lat.observe(time.Since(t0))
-	return results
-}
-
-func (s *Server) handleV2Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, s.bodyLimit())
-	if !ok {
-		return
-	}
-	items, status, msg := v1Items(req, s.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	// Same single-dictionary stance as v1: domain routing needs a
-	// multi-domain deployment.
-	if len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domains requires a multi-domain server (matchd -snapshot name=path)")
-		return
-	}
-	for _, it := range items {
-		if it.Domain != "" {
-			writeV1Error(w, http.StatusBadRequest, "domain %q: domain routing requires a multi-domain server (matchd -snapshot name=path)", it.Domain)
-			return
-		}
-	}
-	markRewrite(items)
-	writeJSON(w, V1Response{Count: len(items), Results: s.doBatchV2(items)})
-}
-
-func (reg *Registry) handleV2Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, v1BodyLimit(reg.cfg.MaxBatch))
-	if !ok {
-		return
-	}
-	if req.Domain != "" && len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domain and domains are mutually exclusive")
-		return
-	}
-	items, status, msg := v1Items(req, reg.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	fan := reg.all()
-	explicit := len(req.Domains) > 0
-	if explicit {
-		var err error
-		if fan, err = reg.resolve(req.Domains); err != nil {
-			writeV1Error(w, http.StatusBadRequest, "%s", err)
-			return
-		}
-	}
-	markRewrite(items)
-
-	reg.v2Reqs.Add(1)
-	reg.v2Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := make([]V1Result, len(items))
-	runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
-		results[i] = reg.routeItem(fan, items[i], explicit)
-	})
-	reg.v2Lat.observe(time.Since(t0))
-	writeJSON(w, V1Response{Count: len(results), Results: results})
 }

@@ -30,16 +30,16 @@ func testCameraVocabulary() *rewrite.Vocabulary {
 	}
 }
 
-// vocabServer builds a standalone server over the movie test snapshot
-// with the movie vocabulary attached.
-func vocabServer(cfg Config) *Server {
+// vocabHandler is the HTTP surface over the movie test snapshot with
+// the movie vocabulary attached.
+func vocabHandler(t testing.TB, cfg Config) http.Handler {
 	snap := testSnapshot()
 	snap.Vocab = testVocabulary()
-	return NewServer(snap, cfg)
+	return soloRegistry(t, snap, cfg).Handler()
 }
 
 func TestV2MatchSingle(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{CacheSize: 16}).Handler())
+	ts := httptest.NewServer(vocabHandler(t, Config{CacheSize: 16}))
 	defer ts.Close()
 
 	resp, data := postJSON(t, ts.URL+"/v2/match",
@@ -94,7 +94,7 @@ func TestV2MatchSingle(t *testing.T) {
 // vocabulary the v2 surface still answers, with empty attributes and
 // the residual mirroring the remainder.
 func TestV2MatchNoVocabulary(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+	ts := httptest.NewServer(testHandler(t, Config{}))
 	defer ts.Close()
 
 	_, data := postJSON(t, ts.URL+"/v2/match", `{"query": "indy 4 near san fran"}`)
@@ -114,7 +114,7 @@ func TestV2MatchNoVocabulary(t *testing.T) {
 // TestV2CacheIsolation proves v1 and v2 never share a cache entry for
 // the same query: the rewrite flag is part of the request key.
 func TestV2CacheIsolation(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{CacheSize: 16}).Handler())
+	ts := httptest.NewServer(vocabHandler(t, Config{CacheSize: 16}))
 	defer ts.Close()
 
 	const body = `{"query": "indiana jones 4 2008 adventure"}`
@@ -158,7 +158,7 @@ func TestV2CacheIsolation(t *testing.T) {
 // stance: the rewrite flag has no JSON surface, so a v1 body trying to
 // smuggle it is rejected by the strict decoder.
 func TestV2RewriteNotClientSettable(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{}).Handler())
+	ts := httptest.NewServer(vocabHandler(t, Config{}))
 	defer ts.Close()
 
 	resp, data := postJSON(t, ts.URL+"/v1/match", `{"query": "indy 4", "rewrite": true}`)
@@ -171,9 +171,9 @@ func TestV2RewriteNotClientSettable(t *testing.T) {
 // freeze: every v1-era surface must return byte-identical bodies
 // whether or not the snapshot carries an attribute vocabulary.
 func TestV1FrozenWithVocabulary(t *testing.T) {
-	bare := httptest.NewServer(NewServer(testSnapshot(), Config{CacheSize: -1}).Handler())
+	bare := httptest.NewServer(testHandler(t, Config{CacheSize: -1}))
 	defer bare.Close()
-	vocab := httptest.NewServer(vocabServer(Config{CacheSize: -1}).Handler())
+	vocab := httptest.NewServer(vocabHandler(t, Config{CacheSize: -1}))
 	defer vocab.Close()
 
 	queries := []string{
@@ -254,7 +254,7 @@ func TestV1FederatedFrozenWithVocabulary(t *testing.T) {
 }
 
 // testVocabRegistry is testRegistry with per-domain vocabularies.
-func testVocabRegistry(t *testing.T, cfg Config) *Registry {
+func testVocabRegistry(t testing.TB, cfg Config) *Registry {
 	t.Helper()
 	reg := NewRegistry(cfg)
 	movies := testSnapshot()
@@ -345,7 +345,7 @@ func TestV2FederatedNoVocabularyLeak(t *testing.T) {
 // endpoints announce Deprecation/Sunset/successor, the versioned
 // endpoints do not.
 func TestLegacyDeprecationHeaders(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{}).Handler())
+	ts := httptest.NewServer(vocabHandler(t, Config{}))
 	defer ts.Close()
 
 	legacy := map[string]func() *http.Response{
@@ -383,9 +383,9 @@ func TestLegacyDeprecationHeaders(t *testing.T) {
 }
 
 // TestStatszV2Shape pins the stats backward compatibility: a v1-only
-// server's /statsz has no v2 keys; they appear after v2 traffic.
+// registry's /statsz has no v2 keys; they appear after v2 traffic.
 func TestStatszV2Shape(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{}).Handler())
+	ts := httptest.NewServer(vocabHandler(t, Config{}))
 	defer ts.Close()
 
 	postJSON(t, ts.URL+"/v1/match", `{"query": "indy 4"}`)
@@ -396,7 +396,7 @@ func TestStatszV2Shape(t *testing.T) {
 
 	postJSON(t, ts.URL+"/v2/match", `{"query": "indy 4"}`)
 	_, body = httpGet(t, ts.URL+"/statsz")
-	var st Stats
+	var st RegistryStats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}

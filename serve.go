@@ -15,12 +15,13 @@ type (
 	// Snapshot is the versioned on-disk bundle of serving state
 	// (dictionary + entity table + synonyms).
 	Snapshot = serve.Snapshot
-	// MatchServer is the online matching tier: cache, batch pool,
-	// trigram fuzzy index, HTTP handlers.
+	// MatchServer is one domain's serving generation: engine, request
+	// cache, trigram fuzzy index, hot-swap handle. Registry serves it
+	// over HTTP.
 	MatchServer = serve.Server
 	// ServeConfig tunes a MatchServer.
 	ServeConfig = serve.Config
-	// ServeStats is the /statsz payload.
+	// ServeStats is one domain's entry in the /statsz payload.
 	ServeStats = serve.Stats
 	// MatchResult is the JSON shape of one matched query.
 	MatchResult = serve.MatchResult
@@ -32,11 +33,11 @@ type (
 	Reloader = reload.Reloader
 	// ReloadConfig tunes a Reloader.
 	ReloadConfig = reload.Config
-	// Registry is the multi-domain serving tier: one process serving
-	// several verticals, each with its own generation handle, request
-	// cache and reload watcher, behind a federated /v1/match.
+	// Registry is the serving tier's HTTP surface: one process serving
+	// one or several verticals, each with its own generation handle,
+	// request cache and reload watcher, behind a federated /v1/match.
 	Registry = serve.Registry
-	// RegistryStats is the multi-domain /statsz payload.
+	// RegistryStats is the /statsz payload.
 	RegistryStats = serve.RegistryStats
 	// ReloadGroup runs one snapshot watcher per domain with a shared
 	// per-domain admin surface.
@@ -52,19 +53,13 @@ func NewMatchServer(snap *Snapshot, cfg ServeConfig) *MatchServer {
 	return serve.NewServer(snap, cfg)
 }
 
-// NewMatchServerWithMeta is NewMatchServer recording the boot snapshot's
-// provenance (file path, SHA-256) for /admin/snapshot.
-func NewMatchServerWithMeta(snap *Snapshot, cfg ServeConfig, meta SnapshotMeta) *MatchServer {
-	return serve.NewServerWithMeta(snap, cfg, meta)
-}
-
 // NewReloader builds a snapshot hot-reloader for a running server; see
 // internal/serve/reload for semantics (poll + canary + atomic swap).
 func NewReloader(s *MatchServer, cfg ReloadConfig) (*Reloader, error) {
 	return reload.New(s, cfg)
 }
 
-// NewRegistry builds an empty multi-domain registry; register each
+// NewRegistry builds an empty domain registry; register each
 // vertical's snapshot with Registry.Add.
 func NewRegistry(cfg ServeConfig) *Registry { return serve.NewRegistry(cfg) }
 

@@ -23,6 +23,17 @@ func movieSnapshot(t testing.TB) *Snapshot {
 	return sim.BuildSnapshot(results, 0)
 }
 
+// soloRegistry serves snap as a registry of one domain named "default",
+// the way matchd serves a bare -snapshot path.
+func soloRegistry(t testing.TB, snap *Snapshot, cfg ServeConfig) *Registry {
+	t.Helper()
+	reg := NewRegistry(cfg)
+	if _, err := reg.Add("default", snap, SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 // TestSnapshotRoundTripIdenticalMatches is the end-to-end round-trip
 // acceptance test: a server started from snapshot bytes must produce
 // byte-identical match results to one built directly from the miner.
@@ -78,7 +89,7 @@ func TestServeFromSnapshotWithoutMiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewMatchServer(snap, ServeConfig{}).Handler())
+	ts := httptest.NewServer(soloRegistry(t, snap, ServeConfig{}).Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/match?q=indy+4+near+san+fran")
